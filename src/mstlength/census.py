@@ -9,62 +9,59 @@ rank-3 spanning subgraphs, which ties this module to the rank table.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .graphs import Graph
 
 
-def count_cycles(g: Graph, max_len: int) -> dict[int, int]:
-    """Number of cycles of each length 3..max_len.
+def _walk_cycles(g: Graph, max_len: int) -> Iterator[tuple[int, ...]]:
+    """Each cycle of length 3..max_len once, as its canonical vertex sequence.
 
     DFS from each start vertex s over vertices larger than s, closing back to
     s; each cycle is found exactly once by requiring the second vertex to be
     smaller than the last (fixing the direction).
     """
+    adjacency = g.adjacency
+    for start in range(g.n):
+        closing = set(adjacency[start])
+        path = [start]
+        on_path = {start}
+        pending = [iter(adjacency[start])]
+        while pending:
+            for nxt in pending[-1]:
+                if nxt == start:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        yield tuple(path)
+                elif nxt > start and nxt not in on_path:
+                    if len(path) + 1 < max_len:
+                        path.append(nxt)
+                        on_path.add(nxt)
+                        pending.append(iter(adjacency[nxt]))
+                        break
+                    # a path at full length can only close, so skip its walk
+                    if len(path) >= 2 and nxt in closing and path[1] < nxt:
+                        yield (*path, nxt)
+            else:
+                pending.pop()
+                on_path.discard(path.pop())
+
+
+def count_cycles(g: Graph, max_len: int) -> dict[int, int]:
+    """Number of cycles of each length 3..max_len."""
     if max_len < 3:
         return {}
     counts = {length: 0 for length in range(3, max_len + 1)}
-    adjacency = g.adjacency
-
-    def extend(start: int, path: list[int], on_path: set[int]) -> None:
-        tail = path[-1]
-        for nxt in adjacency[tail]:
-            if nxt == start and len(path) >= 3 and path[1] < tail:
-                counts[len(path)] += 1
-            elif nxt > start and nxt not in on_path and len(path) < max_len:
-                path.append(nxt)
-                on_path.add(nxt)
-                extend(start, path, on_path)
-                on_path.remove(nxt)
-                path.pop()
-
-    for start in range(g.n):
-        extend(start, [start], {start})
+    for cycle in _walk_cycles(g, max_len):
+        counts[len(cycle)] += 1
     return counts
 
 
 def _cycles_of_length(g: Graph, length: int) -> list[tuple[int, ...]]:
     """All cycles of exactly this length, as canonical vertex sequences."""
-    found: list[tuple[int, ...]] = []
-    adjacency = g.adjacency
-
-    def extend(start: int, path: list[int], on_path: set[int]) -> None:
-        tail = path[-1]
-        for nxt in adjacency[tail]:
-            if nxt == start and len(path) == length and path[1] < tail:
-                found.append(tuple(path))
-            elif nxt > start and nxt not in on_path and len(path) < length:
-                path.append(nxt)
-                on_path.add(nxt)
-                extend(start, path, on_path)
-                on_path.remove(nxt)
-                path.pop()
-
-    if length >= 3:
-        for start in range(g.n):
-            extend(start, [start], {start})
-    return found
+    return [cycle for cycle in _walk_cycles(g, length) if len(cycle) == length]
 
 
 def _chords(cycle: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -100,12 +97,32 @@ def count_chorded_cycles_plus_edge(g: Graph) -> int:
     return total
 
 
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Bit w of entry v is set when v and w are adjacent."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
 def count_k4(g: Graph) -> int:
-    """Number of 4-vertex subsets inducing all six edges."""
+    """Number of 4-vertex subsets inducing all six edges.
+
+    Triangle extension over neighbour bitsets: for each edge (u, v) with
+    u < v, every common neighbour w > v closes a triangle, and each common
+    neighbour x > w of all three completes a K_4.  The ordering u < v < w < x
+    counts each K_4 once.  Cost O(m * n) big-int operations on words of n bits.
+    """
+    masks = _neighbour_masks(g)
     total = 0
-    for quad in combinations(range(g.n), 4):
-        if all(g.has_edge(u, v) for u, v in combinations(quad, 2)):
-            total += 1
+    for u, v in g.edges:
+        common = (masks[u] & masks[v]) >> (v + 1) << (v + 1)
+        while common:
+            low = common & -common
+            common ^= low
+            w = low.bit_length() - 1
+            total += (common & masks[w]).bit_count()
     return total
 
 
@@ -113,15 +130,14 @@ def count_k32(g: Graph) -> int:
     """Number of complete-bipartite K_{3,2} edge subgraphs.
 
     Counted as (3-set, 2-set) pairs of disjoint vertex sets with all six cross
-    edges present; the part sizes differ, so no pair is counted twice.
+    edges present; the part sizes differ, so no pair is counted twice.  Each
+    2-set {u, v} pairs with any 3 of its common neighbours, so the count is
+    the sum over vertex pairs of C(|N(u) & N(v)|, 3), taken over neighbour
+    bitsets.  Only vertices of degree >= 3 can be on the 2-side, so the cost
+    is O(n_3^2) big-int operations, n_3 being the number of such vertices.
     """
-    total = 0
-    for five in combinations(range(g.n), 5):
-        for two in combinations(five, 2):
-            three = tuple(v for v in five if v not in two)
-            if all(g.has_edge(u, v) for u in three for v in two):
-                total += 1
-    return total
+    masks = [mask for mask in _neighbour_masks(g) if mask.bit_count() >= 3]
+    return sum(comb((a & b).bit_count(), 3) for a, b in combinations(masks, 2))
 
 
 def diamond_count(g: Graph) -> int:

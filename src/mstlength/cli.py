@@ -7,7 +7,7 @@ carries diagnostics, and the exit code is the only pass/fail channel:
     0  success / all checks passed
     1  statistical comparison failed (simulate)
     2  input error (bad document, bad arguments, disconnected graph)
-    3  enumeration cap refusal
+    3  enumeration cap or state-budget refusal
     4  internal identity or route disagreement (a bug, never an input problem)
 """
 
@@ -37,6 +37,7 @@ from .enumeration import (
 from .errors import (
     DisconnectedGraphError,
     EnumerationCapError,
+    FrontierOverflowError,
     GraphConstructionError,
     GraphParseError,
     MstLengthError,
@@ -340,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (GraphParseError, GraphConstructionError, DisconnectedGraphError) as exc:
         return _fail(EXIT_INPUT, str(exc))
-    except EnumerationCapError as exc:
+    except (EnumerationCapError, FrontierOverflowError) as exc:
         return _fail(EXIT_CAP, str(exc))
     except RouteDisagreementError as exc:
         return _fail(EXIT_INTERNAL, str(exc))

@@ -24,6 +24,7 @@ Two interchangeable enumeration strategies produce bit-identical tables:
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,14 +155,15 @@ def _bitmask_chunk(n: int, edges: tuple[tuple[int, int], ...], lo: int, hi: int)
 
 def _bitmask_counts(g: Graph, threads: int = 1) -> dict[tuple[int, int], int]:
     total_subsets = 1 << g.m
-    if threads <= 1 or total_subsets < (1 << 16):
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1 or total_subsets < (1 << 16):
         tables = [_bitmask_chunk(g.n, g.edges, 0, total_subsets)]
     else:
         # Contiguous chunks; boundaries depend only on the chunk count, and the
         # partial tables are summed, so the result is identical to serial.
-        chunks = min(4 * threads, 64)
+        chunks = min(4 * workers, 64)
         bounds = [total_subsets * i // chunks for i in range(chunks + 1)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_bitmask_chunk, g.n, g.edges, bounds[i], bounds[i + 1])
                 for i in range(chunks)
@@ -283,8 +285,9 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
 
         if len(next_states) > MAX_FRONTIER_STATES:
             raise FrontierOverflowError(
-                f"partition sweep exceeded {MAX_FRONTIER_STATES} states at edge {step + 1}/{m}; "
-                "use method='bitmask' or a smaller graph"
+                f"exact enumeration needs more than its budget of {MAX_FRONTIER_STATES} "
+                f"partition states (reached at edge {step + 1}/{m}); use a graph with "
+                "fewer edges, or a Monte Carlo estimate (`mstlength simulate --cap 0`)"
             )
         states = next_states
         if retiring:

@@ -12,6 +12,7 @@ Floating point is confined to this module; everything exact lives elsewhere.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,12 +141,12 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
         raise ValueError(f"trials must be >= 1, got {trials}")
 
     n_blocks = -(-trials // BLOCK_TRIALS)
-    if threads <= 1 or n_blocks == 1:
+    workers = min(threads, n_blocks, os.cpu_count() or 1)
+    if workers <= 1:
         lengths = _simulate_blocks(g.n, g.edges, seed, 0, 0, trials)
     else:
         # Split on block boundaries only; concatenation in block order makes
         # the gathered lengths identical to the serial run.
-        workers = min(threads, n_blocks)
         bounds = [n_blocks * i // workers for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

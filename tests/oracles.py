@@ -86,3 +86,27 @@ def count_cycles_brute(g: Graph, length: int) -> int:
                 seen += 1
         count += seen // 2  # each cycle appears in both directions
     return count
+
+
+def count_k4_brute(g: Graph) -> int:
+    """Number of 4-vertex subsets inducing all six edges."""
+    total = 0
+    for quad in combinations(range(g.n), 4):
+        if all(g.has_edge(u, v) for u, v in combinations(quad, 2)):
+            total += 1
+    return total
+
+
+def count_k32_brute(g: Graph) -> int:
+    """Number of complete-bipartite K_{3,2} edge subgraphs.
+
+    Counted as (3-set, 2-set) pairs of disjoint vertex sets with all six cross
+    edges present; the part sizes differ, so no pair is counted twice.
+    """
+    total = 0
+    for five in combinations(range(g.n), 5):
+        for two in combinations(five, 2):
+            three = tuple(v for v in five if v not in two)
+            if all(g.has_edge(u, v) for u in three for v in two):
+                total += 1
+    return total

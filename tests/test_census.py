@@ -1,8 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from mstlength.census import (
     build_census,
@@ -15,9 +16,16 @@ from mstlength.census import (
 )
 from mstlength.coefficients import check_rank_cycle_correction
 from mstlength.enumeration import build_rank_table
-from mstlength.graphs import Graph, bipartite_graph, complete_graph, path_graph
+from mstlength.expectation import expected_mst_length
+from mstlength.graphs import (
+    Graph,
+    bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
 
-from .oracles import count_cycles_brute
+from .oracles import count_cycles_brute, count_k4_brute, count_k32_brute
 from .strategies import connected_graphs
 
 
@@ -66,6 +74,28 @@ def test_k4_and_k32_counts():
         assert count_k4(complete_graph(n)) == math.comb(n, 4)
         assert count_k32(complete_graph(n)) == math.comb(n, 5) * math.comb(5, 2)
     assert count_k4(bipartite_graph(4, 4)) == 0  # triangle-free
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(max_n=9, max_m=36))
+@example(Graph(1))
+@example(Graph(4))  # no edges
+@example(bipartite_graph(3, 3))
+def test_k4_and_k32_match_brute_force(g):
+    assert count_k4(g) == count_k4_brute(g)
+    assert count_k32(g) == count_k32_brute(g)
+
+
+def test_long_cycle_census_is_empty():
+    census = build_census(cycle_graph(40))
+    assert all(census.cycle_count(j) == 0 for j in range(3, 7))
+    assert census.k4 == census.k32 == census.diamonds == 0
+
+
+def test_long_cycle_expectation():
+    # cycle law: n/2 - n/(n+1)
+    result = expected_mst_length(cycle_graph(40), cap=40)
+    assert result.expectation == Fraction(20) - Fraction(40, 41)
 
 
 def test_diamond_counts():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mstlength import enumeration
 from mstlength.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -68,6 +69,14 @@ def test_both_sources_rejected(tmp_path, capsys):
 def test_cap_refusal_exit_code(capsys):
     code, _, err = run_cli(capsys, "compute", "--gen", "complete", "9")
     assert code == 3 and "cap" in err
+
+
+def test_frontier_overflow_is_cap_refusal(capsys, monkeypatch):
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", 4)
+    code, out, err = run_cli(capsys, "compute", "--gen", "complete", "5")
+    assert code == 3 and out == ""
+    assert "budget of 4 partition states" in err and "simulate --cap 0" in err
+    assert "method=" not in err
 
 
 def test_cap_override(capsys):

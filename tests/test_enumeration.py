@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from mstlength import enumeration
 from mstlength.enumeration import (
     RankTable,
     build_rank_table,
@@ -87,6 +88,14 @@ def test_bitmask_chunking_is_exact():
     # force the pool path by dropping the small-problem shortcut threshold
     chunked = build_rank_table(g, method="bitmask", threads=2)
     assert chunked.counts == serial
+
+
+@pytest.mark.parametrize("cpus, expected", [(2, [2]), (3, [3]), (1, []), (None, [])])
+def test_bitmask_workers_clamped_to_cpus(recording_pool, cpus, expected):
+    created = recording_pool(enumeration, cpus)
+    g = cycle_graph(16)  # 2^16 subsets: the smallest size that uses the pool
+    assert _bitmask_counts(g, threads=10**6) == _frontier_counts(g)
+    assert created == expected
 
 
 def test_disconnected_integrand_rejected():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mstlength import mc
 from mstlength.errors import DisconnectedGraphError
 from mstlength.graphs import Graph, bipartite_graph, complete_graph, path_graph
 from mstlength.mc import (
@@ -25,6 +26,19 @@ def test_determinism_across_worker_counts():
         serial = simulate(bipartite_graph(3, 2), trials, seed=5, threads=1)
         parallel = simulate(bipartite_graph(3, 2), trials, seed=5, threads=3)
         assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "cpus, blocks, expected",
+    [(4, 3, [3]), (4, 8, [4]), (2, 8, [2]), (1, 8, []), (None, 8, [])],
+)
+def test_worker_count_clamped_to_blocks_and_cpus(recording_pool, cpus, blocks, expected):
+    created = recording_pool(mc, cpus)
+    g = bipartite_graph(3, 2)
+    trials = blocks * BLOCK_TRIALS
+    clamped = simulate(g, trials, seed=5, threads=10**6)
+    assert created == expected
+    assert clamped == simulate(g, trials, seed=5, threads=1)
 
 
 def test_different_seeds_differ():
