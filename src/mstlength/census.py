@@ -75,12 +75,14 @@ def _chords(cycle: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
+def _present_chords(g: Graph, cycle: tuple[int, ...]) -> int:
+    """Number of the cycle's chords that are edges of g."""
+    return sum(1 for u, v in _chords(cycle) if g.has_edge(u, v))
+
+
 def count_chorded_cycles(g: Graph, length: int) -> int:
     """Number of (cycle of given length, present chord) incidence pairs."""
-    total = 0
-    for cycle in _cycles_of_length(g, length):
-        total += sum(1 for u, v in _chords(cycle) if g.has_edge(u, v))
-    return total
+    return sum(_present_chords(g, cycle) for cycle in _cycles_of_length(g, length))
 
 
 def count_chorded_cycles_plus_edge(g: Graph) -> int:
@@ -91,9 +93,8 @@ def count_chorded_cycles_plus_edge(g: Graph) -> int:
     """
     total = 0
     for cycle in _cycles_of_length(g, 4):
-        present_chords = sum(1 for u, v in _chords(cycle) if g.has_edge(u, v))
-        extra = g.m - 4 - present_chords
-        total += present_chords * extra
+        chords = _present_chords(g, cycle)
+        total += chords * (g.m - 4 - chords)
     return total
 
 
@@ -180,15 +181,31 @@ class SubgraphCensus:
 
 
 def build_census(g: Graph, max_cycle_len: int = 6) -> SubgraphCensus:
-    """Run the full structural census with cycles scanned up to max_cycle_len."""
+    """Run the full structural census with cycles scanned up to max_cycle_len.
+
+    One cycle walk, to at least length 5, yields the cycle counts and the
+    chorded 4- and 5-cycle counts together.
+    """
     limit = min(max_cycle_len, g.n)
+    cycles = {length: 0 for length in range(3, limit + 1)}
+    chorded = {4: 0, 5: 0}
+    chorded_plus_edge = 0
+    for cycle in _walk_cycles(g, min(max(limit, 5), g.n)):
+        length = len(cycle)
+        if length <= limit:
+            cycles[length] += 1
+        if length in chorded:
+            chords = _present_chords(g, cycle)
+            chorded[length] += chords
+            if length == 4:
+                chorded_plus_edge += chords * (g.m - 4 - chords)
     return SubgraphCensus(
         n=g.n,
         m=g.m,
         max_cycle_len=max_cycle_len,
-        cycles=count_cycles(g, limit),
-        chorded_cycles={4: count_chorded_cycles(g, 4), 5: count_chorded_cycles(g, 5)},
-        chorded_plus_edge=count_chorded_cycles_plus_edge(g),
+        cycles=cycles,
+        chorded_cycles=chorded,
+        chorded_plus_edge=chorded_plus_edge,
         k4=count_k4(g),
         k32=count_k32(g),
     )

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .census import build_census
 from .coefficients import (
+    ROUTE_DIRECT,
     ROUTES,
     all_routes,
     check_cycle_identities,
@@ -32,7 +33,6 @@ from .enumeration import (
     build_rank_table,
     check_hyperbola_identities,
     check_integrand_ratio,
-    direct_integrand,
 )
 from .errors import (
     DisconnectedGraphError,
@@ -99,7 +99,7 @@ def _rational_str(value: Fraction) -> str:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    result = expected_mst_length(g, cap=args.cap, threads=args.threads)
+    result = expected_mst_length(g, cap=args.cap)
     exact = _rational_str(result.expectation)
     plain = [
         f"n = {result.n}, m = {result.m}",
@@ -114,7 +114,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if not is_connected(g):
         raise DisconnectedGraphError("coefficients are defined for connected graphs")
-    table = build_rank_table(g, cap=args.cap, threads=args.threads)
+    table = build_rank_table(g, cap=args.cap)
     routes = all_routes(g, table, build_census(g))
     wanted = ROUTES if args.route == "all" else (args.route,)
     payload = {
@@ -138,8 +138,8 @@ def cmd_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_checks(g: Graph, cap: int, threads: int) -> list[tuple[str, bool]]:
-    table = build_rank_table(g, cap=cap, threads=threads)
+def _verify_checks(g: Graph, cap: int) -> list[tuple[str, bool]]:
+    table = build_rank_table(g, cap=cap)
     census = build_census(g)
     checks: list[tuple[str, bool]] = []
 
@@ -157,7 +157,7 @@ def _verify_checks(g: Graph, cap: int, threads: int) -> list[tuple[str, bool]]:
         checks.append(("route-agreement", False))
         routes = all_routes(g, table, census)
 
-    p = direct_integrand(g, table)
+    p = routes[ROUTE_DIRECT].integrand()
     checks.append(("constant-term", p.evaluate(0) == g.n - 1))
     checks.append(("vanishes-at-one", p.evaluate(1) == 0))
     checks.append(
@@ -189,7 +189,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if not is_connected(g):
         raise DisconnectedGraphError("verify requires a connected graph")
-    checks = _verify_checks(g, args.cap, args.threads)
+    checks = _verify_checks(g, args.cap)
     all_pass = all(ok for _, ok in checks)
     payload = {
         "n": g.n,
@@ -229,7 +229,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_kn_table(args: argparse.Namespace) -> int:
-    rows = kn_table(args.max_n, cap=args.cap, threads=args.threads)
+    rows = kn_table(args.max_n, cap=args.cap)
     payload = {
         "zeta3": ZETA3_DISPLAY,
         "rows": [row.to_json_dict(args.digits) for row in rows],
@@ -268,9 +268,6 @@ def _add_common(parser: argparse.ArgumentParser, graph_source: bool = True) -> N
         type=int,
         default=DEFAULT_EDGE_CAP,
         help=f"enumeration edge cap (default {DEFAULT_EDGE_CAP}, hard limit {HARD_EDGE_CAP})",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker processes for parallel stages"
     )
     parser.add_argument("--digits", type=int, default=10, help="decimal digits in renderings")
     if graph_source:
@@ -315,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--trials", type=int, default=100_000, help="number of trials")
     p.add_argument("--seed", type=int, default=0, help="64-bit generator seed")
+    p.add_argument("--threads", type=int, default=1, help="worker processes for the trials")
     p.add_argument(
         "--z-threshold", type=float, default=4.0, help="pass threshold in stderr units"
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .census import SubgraphCensus
 from .enumeration import RankTable, direct_integrand, min_subgraph_rank
 from .errors import RouteDisagreementError
-from .exactpoly import binomial
+from .exactpoly import IntPolynomial, binomial
 from .graphs import Graph
 
 ROUTE_DIRECT = "direct"
@@ -41,6 +41,10 @@ class CoefficientVector:
 
     route: str
     a: tuple[int | None, ...]
+
+    def integrand(self) -> IntPolynomial:
+        """p(t) = -1 + sum_i a_i t^i; needs every a_i, as the direct route has."""
+        return IntPolynomial((self.a[0] - 1, *self.a[1:]))
 
 
 def coeff_from_component_sums(table: RankTable, i: int) -> int:

@@ -5,28 +5,19 @@ subgraphs with exactly l edges and rank r (rank = vertices minus components).
 Every downstream quantity -- the integrand polynomial, the Tutte polynomial,
 all coefficient routes -- is a function of this table, so it is computed once.
 
-Two interchangeable enumeration strategies produce bit-identical tables:
-
-* ``bitmask``: iterate the 2^m subset masks in plain integer order with a
-  fresh union-find per subset.  The literal strategy; the index space can be
-  split into contiguous chunks whose partial tables sum to the serial result,
-  and worker processes may run the chunks.
-* ``frontier``: a partition sweep over the edge list.  Edges are taken or
-  skipped one at a time while tracking the partition of "active" vertices
-  (those with edges still pending) plus a completed-component counter, so the
-  2^m subsets are aggregated by distributivity instead of visited one by one.
-  Exact integer counts, identical table, exponentially faster; this is what
-  makes dense graphs such as the 28-edge complete graph on 8 vertices cheap
-  on a single core.
-
-``auto`` picks the frontier sweep.
+The table comes from a partition sweep over the edge list.  Edges are taken or
+skipped one at a time while tracking the partition of "active" vertices (those
+with edges still pending) plus a completed-component counter, so the 2^m
+subsets are aggregated by distributivity instead of visited one by one.  The
+counts are exact integers; the cost grows with the number of partition states
+on the frontier, not with 2^m, which makes dense graphs such as the 28-edge
+complete graph on 8 vertices cheap on a single core.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -39,9 +30,6 @@ from .graphs import Graph, is_connected
 
 DEFAULT_EDGE_CAP = 28
 HARD_EDGE_CAP = 40
-
-# Calibration constant for refusal messages only (pure-Python union-find rate).
-NOMINAL_SUBSETS_PER_SECOND = 1.5e6
 
 # State budget for the frontier sweep; beyond this the partition family is too
 # rich to hold in memory and the caller should shrink the graph or the cap.
@@ -72,21 +60,29 @@ class RankTable:
     m: int
     counts: dict[tuple[int, int], int]
 
+    @cached_property
+    def _rows(self) -> dict[int, dict[int, int]]:
+        """The counts grouped by edge count, built on first use."""
+        rows: dict[int, dict[int, int]] = {}
+        for (l, r), c in self.counts.items():
+            rows.setdefault(l, {})[r] = c
+        return rows
+
     def row(self, edge_count: int) -> dict[int, int]:
-        return {r: c for (l, r), c in self.counts.items() if l == edge_count}
+        return dict(self._rows.get(edge_count, {}))
 
     def row_sum(self, edge_count: int) -> int:
-        return sum(self.row(edge_count).values())
+        return sum(self._rows.get(edge_count, {}).values())
 
     def component_sum(self, edge_count: int) -> int:
         """Total component count over all subgraphs with this many edges."""
-        return sum((self.n - r) * c for r, c in self.row(edge_count).items())
+        return sum((self.n - r) * c for r, c in self._rows.get(edge_count, {}).items())
 
     def nullity_weighted_sum(self, edge_count: int) -> int:
         """Sum of (l - r) * k_r^l over ranks r < l: cyclic subgraphs weighted by nullity."""
         return sum(
             (edge_count - r) * c
-            for r, c in self.row(edge_count).items()
+            for r, c in self._rows.get(edge_count, {}).items()
             if r <= edge_count - 1
         )
 
@@ -107,75 +103,18 @@ class RankTable:
                 raise ValueError(f"row {l} sums to {self.row_sum(l)}, expected C({self.m},{l})")
 
 
-def _format_duration(seconds: float) -> str:
-    if seconds < 120:
-        return f"{seconds:.0f} s"
-    if seconds < 7200:
-        return f"{seconds / 60:.0f} min"
-    if seconds < 172800:
-        return f"{seconds / 3600:.1f} h"
-    return f"{seconds / 86400:.0f} days"
-
-
 def _check_cap(m: int, cap: int) -> None:
     effective = min(cap, HARD_EDGE_CAP)
     if m > effective:
-        subsets = 1 << m
-        projected = _format_duration(subsets / NOMINAL_SUBSETS_PER_SECOND)
+        if m <= HARD_EDGE_CAP:
+            hint = f"raise the cap (`--cap {m}`) or use"
+        else:
+            hint = f"the hard limit is {HARD_EDGE_CAP} edges, so use"
         raise EnumerationCapError(
             f"graph has {m} edges, above the enumeration cap {effective}: "
-            f"2^{m} = {subsets:.2e} subsets (roughly {projected} of enumeration)"
+            f"2^{m} = {1 << m:.2e} subsets; {hint} a Monte Carlo estimate "
+            "(`mstlength simulate --cap 0`)"
         )
-
-
-def _bitmask_chunk(n: int, edges: tuple[tuple[int, int], ...], lo: int, hi: int) -> list[list[int]]:
-    """Partial rank table for subset masks in [lo, hi): rows by edge count, cols by rank."""
-    m = len(edges)
-    table = [[0] * n for _ in range(m + 1)]
-    for mask in range(lo, hi):
-        parent = list(range(n))
-        components = n
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            u, v = edges[low.bit_length() - 1]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                parent[u] = v
-                components -= 1
-        table[mask.bit_count()][n - components] += 1
-    return table
-
-
-def _bitmask_counts(g: Graph, threads: int = 1) -> dict[tuple[int, int], int]:
-    total_subsets = 1 << g.m
-    workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1 or total_subsets < (1 << 16):
-        tables = [_bitmask_chunk(g.n, g.edges, 0, total_subsets)]
-    else:
-        # Contiguous chunks; boundaries depend only on the chunk count, and the
-        # partial tables are summed, so the result is identical to serial.
-        chunks = min(4 * workers, 64)
-        bounds = [total_subsets * i // chunks for i in range(chunks + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_bitmask_chunk, g.n, g.edges, bounds[i], bounds[i + 1])
-                for i in range(chunks)
-            ]
-            tables = [f.result() for f in futures]
-    merged = [[sum(t[l][r] for t in tables) for r in range(g.n)] for l in range(g.m + 1)]
-    return {
-        (l, r): merged[l][r]
-        for l in range(g.m + 1)
-        for r in range(g.n)
-        if merged[l][r]
-    }
 
 
 def _canonical_labels(labels: tuple[int, ...]) -> tuple[int, ...]:
@@ -308,27 +247,15 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     return counts
 
 
-def build_rank_table(
-    g: Graph,
-    *,
-    cap: int = DEFAULT_EDGE_CAP,
-    method: str = "auto",
-    threads: int = 1,
-) -> RankTable:
+def build_rank_table(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> RankTable:
     """Count spanning subgraphs of g by (edge count, rank) over all 2^m subsets.
 
-    ``method`` is one of ``auto`` (partition sweep), ``frontier``, or
-    ``bitmask`` (plain subset loop; ``threads`` worker processes may split the
-    mask range).  All methods return identical tables.
+    Runs the partition sweep; graphs with more than ``cap`` edges (at most
+    ``HARD_EDGE_CAP``) are refused, and so is a sweep whose frontier outgrows
+    ``MAX_FRONTIER_STATES``.  The table is validated before it is returned.
     """
     _check_cap(g.m, cap)
-    if method in ("auto", "frontier"):
-        counts = _frontier_counts(g)
-    elif method == "bitmask":
-        counts = _bitmask_counts(g, threads=threads)
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
-    table = RankTable(g.n, g.m, counts)
+    table = RankTable(g.n, g.m, _frontier_counts(g))
     table.validate()
     return table
 

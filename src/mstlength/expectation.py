@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .census import build_census
-from .coefficients import CoefficientVector, ROUTES, verify_route_agreement
-from .enumeration import DEFAULT_EDGE_CAP, build_rank_table, direct_integrand
+from .coefficients import ROUTE_DIRECT, ROUTES, CoefficientVector, verify_route_agreement
+from .enumeration import DEFAULT_EDGE_CAP, build_rank_table
 from .errors import DisconnectedGraphError, InexactDivisionError
 from .exactpoly import IntPolynomial, binomial, decimal_string
 from .graphs import Graph, complete_graph, is_connected
@@ -49,22 +49,16 @@ class MstExpectation:
         }
 
 
-def expected_mst_length(
-    g: Graph,
-    *,
-    cap: int = DEFAULT_EDGE_CAP,
-    method: str = "auto",
-    threads: int = 1,
-) -> MstExpectation:
+def expected_mst_length(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> MstExpectation:
     """Exact E[L(g)] for a connected graph with i.i.d. uniform edge weights."""
     if not is_connected(g):
         raise DisconnectedGraphError(
             "expected MST length requires a connected graph"
         )
-    table = build_rank_table(g, cap=cap, method=method, threads=threads)
+    table = build_rank_table(g, cap=cap)
     census = build_census(g)
     routes = verify_route_agreement(g, table, census)
-    polynomial = direct_integrand(g, table)
+    polynomial = routes[ROUTE_DIRECT].integrand()
     return MstExpectation(
         n=g.n,
         m=g.m,
@@ -147,22 +141,14 @@ class KnRow:
         }
 
 
-def kn_table(
-    max_n: int,
-    *,
-    cap: int = DEFAULT_EDGE_CAP,
-    method: str = "auto",
-    threads: int = 1,
-) -> list[KnRow]:
+def kn_table(max_n: int, *, cap: int = DEFAULT_EDGE_CAP) -> list[KnRow]:
     """Exact E[L(K_n)] for n = 2..max_n with first and second differences."""
     if max_n < 2:
         raise ValueError(f"table needs max_n >= 2, got {max_n}")
     rows: list[KnRow] = []
     values: list[Fraction] = []
     for n in range(2, max_n + 1):
-        result = expected_mst_length(
-            complete_graph(n), cap=cap, method=method, threads=threads
-        )
+        result = expected_mst_length(complete_graph(n), cap=cap)
         values.append(result.expectation)
         delta = values[-1] - values[-2] if len(values) >= 2 else None
         second = (

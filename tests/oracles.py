@@ -110,3 +110,31 @@ def count_k32_brute(g: Graph) -> int:
             if all(g.has_edge(u, v) for u in three for v in two):
                 total += 1
     return total
+
+
+def rank_counts_by_subsets(g: Graph) -> dict[tuple[int, int], int]:
+    """Rank-table counts {(edges, rank): count} by visiting all 2^m edge subsets.
+
+    Each subset gets a fresh union-find; rank is the number of successful
+    unions.  Practical m <= 16 or so.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for mask in range(1 << g.m):
+        parent = list(range(g.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        rank = 0
+        for idx, (u, v) in enumerate(g.edges):
+            if mask >> idx & 1:
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[ru] = rv
+                    rank += 1
+        key = (mask.bit_count(), rank)
+        counts[key] = counts.get(key, 0) + 1
+    return counts

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from mstlength.census import (
     build_census,
@@ -84,6 +85,22 @@ def test_k4_and_k32_counts():
 def test_k4_and_k32_match_brute_force(g):
     assert count_k4(g) == count_k4_brute(g)
     assert count_k32(g) == count_k32_brute(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=8), st.integers(3, 7))
+@example(Graph(1), 3)
+@example(complete_graph(5), 4)
+def test_build_census_matches_standalone_counts(g, max_cycle_len):
+    census = build_census(g, max_cycle_len)
+    assert (census.n, census.m, census.max_cycle_len) == (g.n, g.m, max_cycle_len)
+    assert census.cycles == count_cycles(g, min(max_cycle_len, g.n))
+    assert census.chorded_cycles == {
+        4: count_chorded_cycles(g, 4),
+        5: count_chorded_cycles(g, 5),
+    }
+    assert census.chorded_plus_edge == count_chorded_cycles_plus_edge(g)
+    assert (census.k4, census.k32) == (count_k4(g), count_k32(g))
 
 
 def test_long_cycle_census_is_empty():

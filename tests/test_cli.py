@@ -69,6 +69,7 @@ def test_both_sources_rejected(tmp_path, capsys):
 def test_cap_refusal_exit_code(capsys):
     code, _, err = run_cli(capsys, "compute", "--gen", "complete", "9")
     assert code == 3 and "cap" in err
+    assert "--cap 36" in err and "simulate --cap 0" in err
 
 
 def test_frontier_overflow_is_cap_refusal(capsys, monkeypatch):
@@ -134,6 +135,17 @@ def test_simulate_json(capsys):
     assert payload["trials"] == 20000
     assert payload["pass"] is True
     assert payload["exact_num"] == "3" and payload["exact_den"] == "4"
+
+
+def test_threads_is_a_simulate_option_only(capsys):
+    with pytest.raises(SystemExit) as rejected:
+        main(["compute", "--gen", "complete", "3", "--threads", "2"])
+    assert rejected.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    code, out, _ = run_cli(
+        capsys, "simulate", "--gen", "complete", "3", "--trials", "2000", "--threads", "2"
+    )
+    assert code == 0 and json.loads(out)["trials"] == 2000
 
 
 def test_simulate_seed_reproducibility(capsys):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mstlength import enumeration
 from mstlength.enumeration import (
     RankTable,
     build_rank_table,
@@ -13,7 +12,6 @@ from mstlength.enumeration import (
     direct_integrand,
     min_subgraph_rank,
     tutte_polynomial,
-    _bitmask_counts,
     _frontier_counts,
 )
 from mstlength.errors import DisconnectedGraphError, EnumerationCapError
@@ -26,7 +24,7 @@ from mstlength.graphs import (
     path_graph,
 )
 
-from .oracles import spanning_tree_count_kirchhoff
+from .oracles import rank_counts_by_subsets, spanning_tree_count_kirchhoff
 from .strategies import connected_graphs
 
 
@@ -49,6 +47,9 @@ def test_rank_table_k3():
 def test_rank_table_empty_row():
     table = build_rank_table(bipartite_graph(3, 2))
     assert table.row(0) == {0: 1}
+    table.row(0)[0] = 99  # each call hands out a fresh dict
+    assert table.row(0) == {0: 1}
+    assert table.row(table.m + 1) == {}
 
 
 def test_row_sums_are_binomials():
@@ -61,8 +62,9 @@ def test_row_sums_are_binomials():
 def test_cap_refusal_message():
     with pytest.raises(EnumerationCapError, match="2\\^36"):
         build_rank_table(complete_graph(9))
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError) as refusal:
         build_rank_table(complete_graph(10), cap=100)  # 45 edges: over the hard limit
+    assert "simulate --cap 0" in str(refusal.value) and "--cap 45" not in str(refusal.value)
 
 
 def test_cap_override_allows_more_edges():
@@ -73,29 +75,13 @@ def test_cap_override_allows_more_edges():
 
 def test_methods_agree_on_generators():
     for g in (complete_graph(4), bipartite_graph(3, 2), cycle_graph(6), path_graph(7)):
-        assert _frontier_counts(g) == _bitmask_counts(g)
+        assert _frontier_counts(g) == rank_counts_by_subsets(g)
 
 
 @settings(max_examples=30, deadline=None)
 @given(connected_graphs(max_n=6, max_m=12))
 def test_methods_agree_random(g):
-    assert _frontier_counts(g) == _bitmask_counts(g)
-
-
-def test_bitmask_chunking_is_exact():
-    g = complete_graph(4)
-    serial = _bitmask_counts(g, threads=1)
-    # force the pool path by dropping the small-problem shortcut threshold
-    chunked = build_rank_table(g, method="bitmask", threads=2)
-    assert chunked.counts == serial
-
-
-@pytest.mark.parametrize("cpus, expected", [(2, [2]), (3, [3]), (1, []), (None, [])])
-def test_bitmask_workers_clamped_to_cpus(recording_pool, cpus, expected):
-    created = recording_pool(enumeration, cpus)
-    g = cycle_graph(16)  # 2^16 subsets: the smallest size that uses the pool
-    assert _bitmask_counts(g, threads=10**6) == _frontier_counts(g)
-    assert created == expected
+    assert _frontier_counts(g) == rank_counts_by_subsets(g)
 
 
 def test_disconnected_integrand_rejected():
