@@ -14,7 +14,6 @@ from .coefficients import (
     check_rank_cycle_correction,
     coeff_from_component_sums,
     coeff_from_nullities,
-    coeff_from_rank_table,
     coeff_structural,
     correction_terms,
     verify_route_agreement,
@@ -28,6 +27,7 @@ from .enumeration import (
     check_integrand_ratio,
     direct_integrand,
     min_subgraph_rank,
+    tutte_integrand,
     tutte_polynomial,
 )
 from .errors import (

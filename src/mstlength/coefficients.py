@@ -6,7 +6,8 @@ Writing the integrand as p(t) = -1 + sum a_i t^i, the routes are:
 * ``direct``      -- read a_i off the expanded subset-sum polynomial.
 * ``eq2``         -- alternating binomial sum over per-edge-count component
                      totals (one scalar sum per index).
-* ``rank``        -- the same sum regrouped over rank-table cells.
+* ``rank``        -- p(t) read off T_x along the hyperbola (Steele's formula),
+                     which also leans on the table's binomial row sums.
 * nullity route   -- for i >= 3 only: cyclic subgraphs weighted by nullity
                      (edges minus rank), the shortest of the exact sums.
 * ``structural``  -- for i <= 6 only: closed forms in vertex, edge, cycle,
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .census import SubgraphCensus
-from .enumeration import RankTable, direct_integrand, min_subgraph_rank
+from .enumeration import RankTable, direct_integrand, min_subgraph_rank, tutte_integrand
 from .errors import RouteDisagreementError
 from .exactpoly import IntPolynomial, binomial
 from .graphs import Graph
@@ -56,20 +57,6 @@ def coeff_from_component_sums(table: RankTable, i: int) -> int:
         (-1) ** (i - l) * binomial(m - l, m - i) * table.component_sum(l)
         for l in range(i + 1)
     )
-
-
-def coeff_from_rank_table(table: RankTable, i: int) -> int:
-    """a_i summed cell by cell over the rank table (same sum, regrouped)."""
-    if not 0 <= i <= table.m:
-        raise ValueError(f"coefficient index {i} out of range 0..{table.m}")
-    m, n = table.m, table.n
-    total = 0
-    for l in range(i + 1):
-        sign_binom = (-1) ** (i - l) * binomial(m - l, m - i)
-        if sign_binom == 0:
-            continue
-        total += sign_binom * sum((n - r) * c for r, c in table.row(l).items())
-    return total
 
 
 def coeff_from_nullities(table: RankTable, i: int) -> int:
@@ -233,8 +220,9 @@ def cycle_transform_report(census: SubgraphCensus, m: int, i: int) -> CycleTrans
     )
 
 
-def _pad(values: list[int], m: int) -> tuple[int | None, ...]:
-    return tuple(values + [0] * (m + 1 - len(values)))
+def _coefficients_of(p: IntPolynomial, m: int) -> tuple[int, ...]:
+    """a_0..a_m of p(t) = -1 + sum_i a_i t^i."""
+    return tuple(p.coefficient(i) + (i == 0) for i in range(m + 1))
 
 
 def all_routes(
@@ -244,21 +232,16 @@ def all_routes(
 ) -> dict[str, CoefficientVector]:
     """Compute every route's full coefficient vector a_0..a_m."""
     m = table.m
-    polynomial = direct_integrand(g, table)
-    direct = list(polynomial.coefficients) + [0] * (m + 1 - len(polynomial.coefficients))
-    direct[0] += 1  # polynomial constant term is a_0 - 1
-    eq2 = [coeff_from_component_sums(table, i) for i in range(m + 1)]
-    rank = [coeff_from_rank_table(table, i) for i in range(m + 1)]
     structural: list[int | None] = [
         coeff_structural(g, census, i) for i in range(min(STRUCTURAL_MAX_INDEX, m) + 1)
     ]
-    structural += [None] * (m + 1 - len(structural))
-    return {
-        ROUTE_DIRECT: CoefficientVector(ROUTE_DIRECT, tuple(direct)),
-        ROUTE_EQ2: CoefficientVector(ROUTE_EQ2, _pad(eq2, m)),
-        ROUTE_RANK: CoefficientVector(ROUTE_RANK, _pad(rank, m)),
-        ROUTE_STRUCTURAL: CoefficientVector(ROUTE_STRUCTURAL, tuple(structural)),
+    vectors = {
+        ROUTE_DIRECT: _coefficients_of(direct_integrand(g, table), m),
+        ROUTE_EQ2: tuple(coeff_from_component_sums(table, i) for i in range(m + 1)),
+        ROUTE_RANK: _coefficients_of(tutte_integrand(table), m),
+        ROUTE_STRUCTURAL: tuple(structural + [None] * (m + 1 - len(structural))),
     }
+    return {name: CoefficientVector(name, a) for name, a in vectors.items()}
 
 
 def verify_route_agreement(

@@ -86,6 +86,11 @@ class RankTable:
             if r <= edge_count - 1
         )
 
+    @cached_property
+    def tutte(self) -> BivariatePolynomial:
+        """The Tutte polynomial T(x, y) of the table, built on first use."""
+        return tutte_polynomial(self)
+
     def spanning_tree_count(self) -> int:
         return self.counts.get((self.n - 1, self.n - 1), 0)
 
@@ -155,8 +160,8 @@ def _sweep_edge_order(g: Graph) -> list[int]:
 
 
 # Each state's per-edge-count counts are packed into one big int, 64 bits per
-# edge count.  Any single count is at most C(40, 20) < 2^38 and a whole column
-# sums to C(m, l) < 2^40 at the 40-edge hard cap, so digits never carry over.
+# edge count.  Digit l counts l-edge subsets of the edges swept so far, so it is
+# at most C(m, l) <= C(63, 31) < 2^63 within graphs.MAX_EDGES: no digit carries.
 _DIGIT_BITS = 64
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 
@@ -308,6 +313,24 @@ def tutte_polynomial(table: RankTable) -> BivariatePolynomial:
     return BivariatePolynomial(terms)
 
 
+def tutte_integrand(table: RankTable) -> IntPolynomial:
+    """Integrand p(t) = ((1-t)/t) T_x/T at (x, y) = (1/t, 1/(1-t)) (Steele's formula).
+
+    There T = t^{1-n} (1-t)^{n-1-m}, so with T_x = sum c_ij x^i y^j this is
+    p(t) = (1-t) sum_j A_j(t) (1-t)^{m-n+1-j} with A_j(t) = sum_i c_ij t^{n-2-i},
+    evaluated in integers by Horner's rule in (1-t).
+    """
+    n = table.n
+    columns = [[0] * (n - 1) for _ in range(table.m - n + 2)]
+    for (i, j), c in table.tutte.partial_x().terms.items():
+        columns[j][n - 2 - i] = c
+    one_minus_t = IntPolynomial((1, -1))
+    acc = IntPolynomial.zero()
+    for column in columns:
+        acc = acc * one_minus_t + IntPolynomial(column)
+    return acc * one_minus_t
+
+
 def _hyperbola_point(t: Fraction) -> tuple[Fraction, Fraction]:
     if not 0 < t < 1:
         raise ValueError(f"t must be strictly between 0 and 1, got {t}")
@@ -331,16 +354,15 @@ def check_hyperbola_identities(
     if table is None:
         table = build_rank_table(g)
     x, y = _hyperbola_point(t)
-    tutte = tutte_polynomial(table)
     n, m = table.n, table.m
     ratio = (x / (x - 1)) ** m
     closed_form = (x - 1) ** (n - 1) * ratio
-    first = tutte.evaluate(x, y) == closed_form
+    first = table.tutte.evaluate(x, y) == closed_form
 
     weighted = sum(
         (table.component_sum(l) * (y - 1) ** l for l in range(m + 1)), Fraction(0)
     )
-    second = tutte.partial_x().evaluate(x, y) == (x - 1) ** (n - 2) * (weighted - ratio)
+    second = table.tutte.partial_x().evaluate(x, y) == (x - 1) ** (n - 2) * (weighted - ratio)
     return first, second
 
 
@@ -353,8 +375,7 @@ def check_integrand_ratio(
     if table is None:
         table = build_rank_table(g)
     x, y = _hyperbola_point(t)
-    tutte = tutte_polynomial(table)
     t = Fraction(t)
-    lhs = (1 - t) / t * tutte.partial_x().evaluate(x, y) / tutte.evaluate(x, y)
+    lhs = (1 - t) / t * table.tutte.partial_x().evaluate(x, y) / table.tutte.evaluate(x, y)
     rhs = direct_integrand(g, table).evaluate(t)
     return lhs == rhs

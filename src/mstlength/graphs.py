@@ -81,6 +81,14 @@ def _validate_subset(g: Graph, subset: EdgeSubset) -> None:
         raise ValueError(f"subset {subset:#x} has bits outside edges 0..{g.m - 1}")
 
 
+def find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def component_count(g: Graph, subset: EdgeSubset) -> int:
     """Number of connected components of the spanning subgraph ``subset``.
 
@@ -88,20 +96,13 @@ def component_count(g: Graph, subset: EdgeSubset) -> int:
     """
     _validate_subset(g, subset)
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     components = g.n
     remaining = subset
     while remaining:
         low = remaining & -remaining
         remaining ^= low
         u, v = g.edges[low.bit_length() - 1]
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[ru] = rv
             components -= 1

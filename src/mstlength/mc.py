@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DisconnectedGraphError
-from .graphs import Graph, is_connected
+from .graphs import Graph, find, is_connected
 
 BLOCK_TRIALS = 4096
 GENERATOR_ID = f"philox4x64-keyed-blocks-{BLOCK_TRIALS}"
@@ -64,18 +64,11 @@ def mst_length_for_weights(g: Graph, weights: list[float]) -> float:
     if len(weights) != g.m:
         raise ValueError(f"expected {g.m} weights, got {len(weights)}")
     parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     total = 0.0
     picked = 0
     for _, e in sorted((w, e) for e, w in enumerate(weights)):
         u, v = g.edges[e]
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[ru] = rv
             total += weights[e]
@@ -139,6 +132,8 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
         raise DisconnectedGraphError("Monte Carlo MST length requires a connected graph")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     n_blocks = -(-trials // BLOCK_TRIALS)
     workers = min(threads, n_blocks, os.cpu_count() or 1)

@@ -138,3 +138,20 @@ def rank_counts_by_subsets(g: Graph) -> dict[tuple[int, int], int]:
         key = (mask.bit_count(), rank)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def tutte_polynomial_networkx(g: Graph) -> dict[tuple[int, int], int]:
+    """Tutte polynomial terms {(x_deg, y_deg): coefficient} by deletion-contraction.
+
+    Uses networkx's ``tutte_polynomial`` and sympy, neither of which the
+    package depends on; callers skip when they are missing.
+    """
+    import networkx as nx
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(range(g.n))
+    nx_graph.add_edges_from(g.edges)
+    poly = sympy.Poly(nx.tutte_polynomial(nx_graph), x, y)
+    return {key: int(c) for key, c in poly.terms()}

@@ -148,6 +148,16 @@ def test_threads_is_a_simulate_option_only(capsys):
     assert code == 0 and json.loads(out)["trials"] == 2000
 
 
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_simulate_rejects_worker_count_below_one(capsys, threads):
+    code, out, err = run_cli(
+        capsys, "simulate", "--gen", "complete", "3", "--trials", "100",
+        "--threads", threads, "--cap", "0",
+    )
+    assert code == 2 and out == ""
+    assert "threads" in err
+
+
 def test_simulate_seed_reproducibility(capsys):
     _, out1, _ = run_cli(capsys, "simulate", "--gen", "complete", "4", "--trials", "5000", "--seed", "3")
     _, out2, _ = run_cli(capsys, "simulate", "--gen", "complete", "4", "--trials", "5000", "--seed", "3")

@@ -8,13 +8,12 @@ from mstlength.coefficients import (
     check_cycle_identities,
     coeff_from_component_sums,
     coeff_from_nullities,
-    coeff_from_rank_table,
     coeff_structural,
     correction_terms,
     cycle_transform_report,
     verify_route_agreement,
 )
-from mstlength.enumeration import build_rank_table, direct_integrand
+from mstlength.enumeration import build_rank_table, direct_integrand, tutte_integrand
 from mstlength.errors import RouteDisagreementError
 from mstlength.graphs import bipartite_graph, complete_graph, cycle_graph, path_graph
 
@@ -36,10 +35,10 @@ def test_component_sum_route_k32(k32):
 
 def test_rank_route_examples():
     k3 = complete_graph(3)
-    assert coeff_from_rank_table(build_rank_table(k3), 3) == 1
+    assert tutte_integrand(build_rank_table(k3)).coefficient(3) == 1
     c4 = cycle_graph(4)
-    assert coeff_from_rank_table(build_rank_table(c4), 4) == 1
-    assert coeff_from_rank_table(build_rank_table(c4), 2) == 0
+    assert tutte_integrand(build_rank_table(c4)).coefficient(4) == 1
+    assert tutte_integrand(build_rank_table(c4)).coefficient(2) == 0
 
 
 def test_nullity_route_examples(k32):
@@ -149,5 +148,7 @@ def test_route_agreement_random(g):
 def test_route_disagreement_is_loud(k32):
     g, table, census = k32
     corrupted = type(table)(table.n, table.m, {**table.counts, (3, 2): 40})
-    with pytest.raises(RouteDisagreementError, match="disagree"):
+    with pytest.raises(RouteDisagreementError, match="disagree") as excinfo:
         verify_route_agreement(g, corrupted, census)
+    named = str(excinfo.value).split("(", 1)[1].split(")", 1)[0].split(", ")
+    assert "rank" in named

@@ -4,19 +4,23 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from mstlength import enumeration
 from mstlength.enumeration import (
+    _DIGIT_BITS,
     RankTable,
     build_rank_table,
     check_hyperbola_identities,
     check_integrand_ratio,
     direct_integrand,
     min_subgraph_rank,
+    tutte_integrand,
     tutte_polynomial,
     _frontier_counts,
 )
 from mstlength.errors import DisconnectedGraphError, EnumerationCapError
 from mstlength.exactpoly import BivariatePolynomial, IntPolynomial, binomial
 from mstlength.graphs import (
+    MAX_EDGES,
     Graph,
     bipartite_graph,
     complete_graph,
@@ -24,7 +28,11 @@ from mstlength.graphs import (
     path_graph,
 )
 
-from .oracles import rank_counts_by_subsets, spanning_tree_count_kirchhoff
+from .oracles import (
+    rank_counts_by_subsets,
+    spanning_tree_count_kirchhoff,
+    tutte_polynomial_networkx,
+)
 from .strategies import connected_graphs
 
 
@@ -125,6 +133,58 @@ def test_tutte_at_one_one_sparse_graphs():
     for g in (cycle_graph(7), bipartite_graph(3, 3), path_graph(5)):
         tutte = tutte_polynomial(build_rank_table(g))
         assert tutte.evaluate(1, 1) == spanning_tree_count_kirchhoff(g)
+
+
+def _skip_without_networkx():
+    pytest.importorskip("networkx")
+    pytest.importorskip("sympy")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(n) for n in range(2, 6)]
+    + [bipartite_graph(3, 2), bipartite_graph(3, 3), cycle_graph(7), path_graph(5)],
+    ids=["K2", "K3", "K4", "K5", "K32", "K33", "C7", "P5"],
+)
+def test_tutte_matches_networkx(g):
+    _skip_without_networkx()
+    assert tutte_polynomial(build_rank_table(g)).terms == tutte_polynomial_networkx(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs(max_n=5, max_m=8))
+def test_tutte_matches_networkx_random(g):
+    _skip_without_networkx()
+    assert tutte_polynomial(build_rank_table(g)).terms == tutte_polynomial_networkx(g)
+
+
+def test_rank_table_builds_tutte_once(monkeypatch):
+    built = []
+
+    def counting(table):
+        built.append(table)
+        return tutte_polynomial(table)
+
+    monkeypatch.setattr(enumeration, "tutte_polynomial", counting)
+    g = bipartite_graph(3, 2)
+    table = build_rank_table(g)
+    for t in (Fraction(1, 3), Fraction(2, 5)):
+        check_hyperbola_identities(g, t, table)
+        check_integrand_ratio(g, t, table)
+    tutte_integrand(table)
+    assert built == [table]
+
+
+def test_tutte_integrand_matches_direct():
+    graphs = (Graph(1), complete_graph(2), complete_graph(6), bipartite_graph(4, 3), cycle_graph(9))
+    for g in graphs:
+        table = build_rank_table(g)
+        assert tutte_integrand(table) == direct_integrand(g, table)
+    assert tutte_integrand(build_rank_table(complete_graph(2))) == IntPolynomial([1, -1])
+
+
+def test_digit_packing_holds_to_the_edge_limit():
+    assert binomial(MAX_EDGES, MAX_EDGES // 2) < 1 << _DIGIT_BITS
 
 
 def test_hyperbola_identities_examples():

@@ -41,6 +41,14 @@ def test_worker_count_clamped_to_blocks_and_cpus(recording_pool, cpus, blocks, e
     assert clamped == simulate(g, trials, seed=5, threads=1)
 
 
+@pytest.mark.parametrize("threads", [0, -5])
+def test_worker_count_below_one_rejected(recording_pool, threads):
+    created = recording_pool(mc, 4)
+    with pytest.raises(ValueError, match="threads"):
+        simulate(bipartite_graph(3, 2), 3 * BLOCK_TRIALS, seed=5, threads=threads)
+    assert created == []
+
+
 def test_different_seeds_differ():
     a = simulate(complete_graph(4), 2000, seed=1)
     b = simulate(complete_graph(4), 2000, seed=2)
