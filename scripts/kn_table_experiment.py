@@ -4,7 +4,9 @@
 Usage: python scripts/kn_table_experiment.py [MAX_N] [CAP]
 
 MAX_N defaults to 8 (28 edges, within the default enumeration cap); raising
-the cap to 36 allows K_9 (36 edges), which takes well under a second.
+the cap to 36 allows K_9 (36 edges), which takes well under a second.  Cap 45
+allows K_10 (about 2 s for the whole table) and cap 55 allows K_11 (about
+10 s) on a 2-core x86-64 host.
 """
 
 import pathlib

@@ -20,7 +20,6 @@ from .coefficients import (
 )
 from .enumeration import (
     DEFAULT_EDGE_CAP,
-    HARD_EDGE_CAP,
     RankTable,
     build_rank_table,
     check_hyperbola_identities,
@@ -59,14 +58,12 @@ from .graphs import (
     Graph,
     bipartite_graph,
     complete_graph,
-    component_count,
     cycle_graph,
     format_graph,
     generate,
     is_connected,
     parse_graph,
     path_graph,
-    subgraph_rank,
 )
 from .mc import McComparison, McEstimate, compare, mst_length_for_weights, simulate
 

@@ -29,7 +29,6 @@ from .coefficients import (
 )
 from .enumeration import (
     DEFAULT_EDGE_CAP,
-    HARD_EDGE_CAP,
     build_rank_table,
     check_hyperbola_identities,
     check_integrand_ratio,
@@ -214,7 +213,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"generator = {estimate.generator_id}",
     ]
     code = EXIT_OK
-    if g.m <= min(args.cap, HARD_EDGE_CAP):
+    if g.m <= args.cap:
         exact = expected_mst_length(g, cap=args.cap).expectation
         verdict = compare(exact, estimate, args.z_threshold)
         payload.update(verdict.to_json_dict())
@@ -267,7 +266,7 @@ def _add_common(parser: argparse.ArgumentParser, graph_source: bool = True) -> N
         "--cap",
         type=int,
         default=DEFAULT_EDGE_CAP,
-        help=f"enumeration edge cap (default {DEFAULT_EDGE_CAP}, hard limit {HARD_EDGE_CAP})",
+        help=f"enumeration edge cap (default {DEFAULT_EDGE_CAP})",
     )
     parser.add_argument("--digits", type=int, default=10, help="decimal digits in renderings")
     if graph_source:

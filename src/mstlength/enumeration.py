@@ -29,7 +29,6 @@ from .exactpoly import BivariatePolynomial, IntPolynomial, binomial
 from .graphs import Graph, is_connected
 
 DEFAULT_EDGE_CAP = 28
-HARD_EDGE_CAP = 40
 
 # State budget for the frontier sweep; beyond this the partition family is too
 # rich to hold in memory and the caller should shrink the graph or the cap.
@@ -109,16 +108,11 @@ class RankTable:
 
 
 def _check_cap(m: int, cap: int) -> None:
-    effective = min(cap, HARD_EDGE_CAP)
-    if m > effective:
-        if m <= HARD_EDGE_CAP:
-            hint = f"raise the cap (`--cap {m}`) or use"
-        else:
-            hint = f"the hard limit is {HARD_EDGE_CAP} edges, so use"
+    if m > cap:
         raise EnumerationCapError(
-            f"graph has {m} edges, above the enumeration cap {effective}: "
-            f"2^{m} = {1 << m:.2e} subsets; {hint} a Monte Carlo estimate "
-            "(`mstlength simulate --cap 0`)"
+            f"graph has {m} edges, above the enumeration cap {cap}: "
+            f"2^{m} = {1 << m:.2e} subsets; raise the cap (`--cap {m}`) or use "
+            "a Monte Carlo estimate (`mstlength simulate --cap 0`)"
         )
 
 
@@ -255,9 +249,9 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
 def build_rank_table(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> RankTable:
     """Count spanning subgraphs of g by (edge count, rank) over all 2^m subsets.
 
-    Runs the partition sweep; graphs with more than ``cap`` edges (at most
-    ``HARD_EDGE_CAP``) are refused, and so is a sweep whose frontier outgrows
-    ``MAX_FRONTIER_STATES``.  The table is validated before it is returned.
+    Runs the partition sweep; graphs with more than ``cap`` edges are refused,
+    and so is a sweep whose frontier outgrows ``MAX_FRONTIER_STATES``.  The
+    table is validated before it is returned.
     """
     _check_cap(g.m, cap)
     table = RankTable(g.n, g.m, _frontier_counts(g))

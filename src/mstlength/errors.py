@@ -28,7 +28,7 @@ class DisconnectedGraphError(MstLengthError):
 
 
 class EnumerationCapError(MstLengthError):
-    """Graph has more edges than the subset-enumeration cap allows."""
+    """Graph has more edges than the enumeration cap allows."""
 
 
 class FrontierOverflowError(MstLengthError):

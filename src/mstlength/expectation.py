@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .census import build_census
 from .coefficients import ROUTE_DIRECT, ROUTES, CoefficientVector, verify_route_agreement
-from .enumeration import DEFAULT_EDGE_CAP, build_rank_table
+from .enumeration import DEFAULT_EDGE_CAP, _check_cap, build_rank_table
 from .errors import DisconnectedGraphError, InexactDivisionError
 from .exactpoly import IntPolynomial, binomial, decimal_string
 from .graphs import Graph, complete_graph, is_connected
@@ -142,9 +142,14 @@ class KnRow:
 
 
 def kn_table(max_n: int, *, cap: int = DEFAULT_EDGE_CAP) -> list[KnRow]:
-    """Exact E[L(K_n)] for n = 2..max_n with first and second differences."""
+    """Exact E[L(K_n)] for n = 2..max_n with first and second differences.
+
+    The largest graph is built and checked against the cap first, so a table
+    that would be refused is refused before any row is computed.
+    """
     if max_n < 2:
         raise ValueError(f"table needs max_n >= 2, got {max_n}")
+    _check_cap(complete_graph(max_n).m, cap)
     rows: list[KnRow] = []
     values: list[Fraction] = []
     for n in range(2, max_n + 1):

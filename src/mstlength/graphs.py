@@ -1,8 +1,8 @@
-"""Immutable simple graphs with indexed edge lists and bitmask edge subsets.
+"""Immutable simple graphs with indexed edge lists.
 
-A spanning subgraph is represented by a plain int bitmask: bit ``i`` set means
-edge ``i`` of the parent graph is present.  Graphs are capped at 63 edges so a
-subset always fits in one machine word.
+Graphs are capped at ``MAX_EDGES`` = 63 edges: the bound up to which the rank
+table sweep's 64-bit digit packing is proven carry-free (``_DIGIT_BITS`` in
+``enumeration``, pinned by ``test_digit_packing_holds_to_the_edge_limit``).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from functools import cached_property
 from .errors import GraphConstructionError, GraphParseError
 
 MAX_EDGES = 63
-
-EdgeSubset = int
 
 
 @dataclass(frozen=True)
@@ -53,10 +51,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def full_subset(self) -> EdgeSubset:
-        return (1 << self.m) - 1
-
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         neighbors: list[list[int]] = [[] for _ in range(self.n)]
@@ -76,46 +70,16 @@ class Graph:
         return len(self.adjacency[v])
 
 
-def _validate_subset(g: Graph, subset: EdgeSubset) -> None:
-    if subset < 0 or subset >> g.m:
-        raise ValueError(f"subset {subset:#x} has bits outside edges 0..{g.m - 1}")
-
-
-def find(parent: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way up."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def component_count(g: Graph, subset: EdgeSubset) -> int:
-    """Number of connected components of the spanning subgraph ``subset``.
-
-    Isolated vertices count; a fresh union-find is built per call.
-    """
-    _validate_subset(g, subset)
-    parent = list(range(g.n))
-    components = g.n
-    remaining = subset
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        u, v = g.edges[low.bit_length() - 1]
-        ru, rv = find(parent, u), find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-            components -= 1
-    return components
-
-
-def subgraph_rank(g: Graph, subset: EdgeSubset) -> int:
-    """Rank of the spanning subgraph: vertices minus components."""
-    return g.n - component_count(g, subset)
-
-
 def is_connected(g: Graph) -> bool:
-    return component_count(g, g.full_subset) == 1
+    """True when a depth-first search from vertex 0 reaches every vertex."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in g.adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
 
 
 def parse_graph(text: str) -> Graph:

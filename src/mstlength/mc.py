@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DisconnectedGraphError
-from .graphs import Graph, find, is_connected
+from .graphs import Graph, is_connected
 
 BLOCK_TRIALS = 4096
 GENERATOR_ID = f"philox4x64-keyed-blocks-{BLOCK_TRIALS}"
@@ -52,6 +52,14 @@ def _block_weights(seed: int, block: int, m: int) -> np.ndarray:
     """Uniform weights for one block of trials, shape (BLOCK_TRIALS, m)."""
     bits = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), block]))
     return bits.random((BLOCK_TRIALS, m))
+
+
+def find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def mst_length_for_weights(g: Graph, weights: list[float]) -> float:

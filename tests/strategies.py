@@ -22,10 +22,12 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 7, max_m: int = 18) -> G
 
 
 @st.composite
-def graphs_with_subsets(draw, **kwargs) -> tuple[Graph, int]:
-    g = draw(connected_graphs(**kwargs))
-    subset = draw(st.integers(0, g.full_subset))
-    return g, subset
+def graphs(draw, max_n: int = 7) -> Graph:
+    """Random simple graph on up to max_n vertices; may be disconnected."""
+    n = draw(st.integers(1, max_n))
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pool))) if pool else set()
+    return Graph(n, tuple(sorted(edges)))
 
 
 unit_interval_rationals = st.fractions(

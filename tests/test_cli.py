@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from mstlength import enumeration
+from mstlength import enumeration, expectation
 from mstlength.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -173,6 +174,31 @@ def test_kn_table(capsys):
     assert payload["rows"][2]["num"] == "31"
     assert payload["rows"][3]["increasing"] is True
     assert payload["rows"][3]["concave"] is True
+
+
+def _no_rows(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kn-table computed a row before refusing")
+
+    monkeypatch.setattr(expectation, "expected_mst_length", refuse)
+
+
+def test_kn_table_cap_refusal_before_any_row(capsys, monkeypatch):
+    _no_rows(monkeypatch)
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "kn-table", "--max-n", "10", "--cap", "40")
+    assert time.monotonic() - started < 1.0
+    assert code == 3 and out == ""
+    assert "--cap 45" in err and "simulate --cap 0" in err
+
+
+def test_kn_table_edge_limit_refusal_before_any_row(capsys, monkeypatch):
+    _no_rows(monkeypatch)
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "kn-table", "--max-n", "12", "--cap", "66")
+    assert time.monotonic() - started < 1.0
+    assert code == 2 and out == ""
+    assert "63-edge limit" in err
 
 
 def test_gen_round_trip(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mstlength import enumeration
+from mstlength import enumeration, expectation
 from mstlength.enumeration import (
     _DIGIT_BITS,
     RankTable,
@@ -71,14 +71,32 @@ def test_cap_refusal_message():
     with pytest.raises(EnumerationCapError, match="2\\^36"):
         build_rank_table(complete_graph(9))
     with pytest.raises(EnumerationCapError) as refusal:
-        build_rank_table(complete_graph(10), cap=100)  # 45 edges: over the hard limit
-    assert "simulate --cap 0" in str(refusal.value) and "--cap 45" not in str(refusal.value)
+        build_rank_table(complete_graph(10), cap=44)  # 45 edges
+    assert "--cap 45" in str(refusal.value) and "simulate --cap 0" in str(refusal.value)
 
 
 def test_cap_override_allows_more_edges():
     g = cycle_graph(30)
     table = build_rank_table(g, cap=30)
     assert table.row_sum(0) == 1
+
+
+def test_k10_exact_expectation(monkeypatch):
+    tables = []
+
+    def recording_build(g, *, cap):
+        tables.append(build_rank_table(g, cap=cap))
+        return tables[-1]
+
+    monkeypatch.setattr(expectation, "build_rank_table", recording_build)
+    result = expectation.expected_mst_length(complete_graph(10), cap=45)
+    # Matches Gilbert's connectivity recurrence for K_10.
+    assert result.expectation == Fraction(277192644536661, 249195453936572)
+    assert [result.routes["eq2"].a[i] for i in range(7)] == [
+        expectation.kn_coefficient(10, i) for i in range(7)
+    ]
+    (table,) = tables
+    assert table.spanning_tree_count() == 10**8  # Cayley: n^(n-2)
 
 
 def test_methods_agree_on_generators():

@@ -7,17 +7,16 @@ from mstlength.graphs import (
     Graph,
     bipartite_graph,
     complete_graph,
-    component_count,
     cycle_graph,
     format_graph,
     generate,
     is_connected,
     parse_graph,
     path_graph,
-    subgraph_rank,
 )
 
-from .strategies import graphs_with_subsets
+from .oracles import spanning_tree_count_kirchhoff
+from .strategies import graphs
 
 K32_DOC = "5 6\n0 3\n0 4\n1 3\n1 4\n2 3\n2 4"
 
@@ -108,54 +107,12 @@ def test_generator_errors():
         generate("bipartite", 3)
 
 
-def test_component_count_examples():
-    g = bipartite_graph(3, 2)
-    assert component_count(g, 0) == 5
-    assert component_count(g, 1) == 4
-    assert component_count(g, g.full_subset) == 1
-    assert subgraph_rank(g, 0) == 0
-    assert subgraph_rank(complete_graph(4), 0b000111) in (2, 3)
-
-
-def test_spanning_tree_rank():
-    g = complete_graph(4)
-    # edges (0,1),(0,2),(0,3) form a star spanning tree
-    star = 0b000111
-    assert subgraph_rank(g, star) == 3
-
-
 def test_is_connected():
     assert is_connected(bipartite_graph(3, 2))
     assert is_connected(Graph(1))
     assert not is_connected(Graph(4, ((0, 1), (2, 3))))
 
 
-def test_subset_validation():
-    g = path_graph(3)
-    with pytest.raises(ValueError):
-        component_count(g, 1 << 5)
-
-
-@given(graphs_with_subsets())
-def test_rank_plus_components_is_n(case):
-    g, subset = case
-    assert subgraph_rank(g, subset) + component_count(g, subset) == g.n
-
-
-@given(graphs_with_subsets(), st.data())
-def test_components_monotone_under_edge_removal(case, data):
-    g, subset = case
-    sub = subset & data.draw(st.integers(0, g.full_subset))
-    assert component_count(g, sub) >= component_count(g, subset)
-
-
-@given(graphs_with_subsets(), st.data())
-def test_single_edge_changes_components_by_at_most_one(case, data):
-    g, subset = case
-    edge = data.draw(st.integers(0, max(g.m - 1, 0)))
-    if g.m == 0:
-        return
-    without = subset & ~(1 << edge)
-    with_edge = subset | (1 << edge)
-    delta = component_count(g, without) - component_count(g, with_edge)
-    assert delta in (0, 1)
+@given(graphs())
+def test_is_connected_matches_kirchhoff(g):
+    assert is_connected(g) == (spanning_tree_count_kirchhoff(g) > 0)
