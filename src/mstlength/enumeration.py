@@ -12,6 +12,16 @@ subsets are aggregated by distributivity instead of visited one by one.  The
 counts are exact integers; the cost grows with the number of partition states
 on the frontier, not with 2^m, which makes dense graphs such as the 28-edge
 complete graph on 8 vertices cheap on a single core.
+
+A partition is spelled as a canonical restricted-growth string (RGS): one label
+per active vertex, blocks numbered in order of their first vertex, so
+(0, 1, 0, 2) puts the first and third active vertices in one block.  A new
+vertex appends the next unused label; taking an edge between blocks a < b
+sends b to a and shifts the higher labels down by one; retiring a vertex drops
+its slot and renumbers the rest, and counts a completed component when that
+slot was its block's last.  Each transition is one lookup in a map built once
+per sweep and yields the canonical spelling directly, so equal partitions meet
+in one state without a canonicalising pass.
 """
 
 from __future__ import annotations
@@ -19,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 
 from .errors import (
     DisconnectedGraphError,
@@ -33,6 +45,8 @@ DEFAULT_EDGE_CAP = 28
 # State budget for the frontier sweep; beyond this the partition family is too
 # rich to hold in memory and the caller should shrink the graph or the cap.
 MAX_FRONTIER_STATES = 1 << 21
+# Source states between two budget checks inside a sweep step.
+_BUDGET_STRIDE = 1024
 
 
 def min_subgraph_rank(edge_count: int) -> int:
@@ -90,6 +104,11 @@ class RankTable:
         """The Tutte polynomial T(x, y) of the table, built on first use."""
         return tutte_polynomial(self)
 
+    @cached_property
+    def tutte_x(self) -> BivariatePolynomial:
+        """T_x, the partial derivative of T in x, built on first use."""
+        return self.tutte.partial_x()
+
     def spanning_tree_count(self) -> int:
         return self.counts.get((self.n - 1, self.n - 1), 0)
 
@@ -116,15 +135,73 @@ def _check_cap(m: int, cap: int) -> None:
         )
 
 
-def _canonical_labels(labels: tuple[int, ...]) -> tuple[int, ...]:
-    """Relabel partition blocks by first occurrence: (2, 0, 2) -> (0, 1, 0)."""
-    mapping: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out.append(mapping[lab])
-    return tuple(out)
+class _LabelMaps:
+    """Relabel tables for the sweep's block labels, built once per sweep.
+
+    Labels are a canonical restricted-growth string (RGS): blocks are numbered
+    in order of their first slot, so a label is at most one more than every
+    label before it and a partition has exactly one spelling.  Both
+    transitions keep that form without a canonicalising pass: each is one
+    lookup of the labels in a precomputed map of ``width`` entries.
+
+    ``joins[a][b]`` (a != b) sends block max(a, b) to min(a, b) and shifts the
+    higher blocks down by one.  ``moves[c][d]`` (c < d) sends block c to d and
+    shifts blocks c+1..d down by one.
+    """
+
+    __slots__ = ("joins", "moves")
+
+    def __init__(self, width: int) -> None:
+        slots = range(width)
+        self.joins = [
+            [
+                tuple(min(a, b) if x == max(a, b) else x - 1 if x > max(a, b) else x for x in slots)
+                for b in slots
+            ]
+            for a in slots
+        ]
+        self.moves = [
+            [tuple(d if x == c else x - 1 if c < x <= d else x for x in slots) for d in slots]
+            for c in slots
+        ]
+
+    def merge(self, labels: tuple[int, ...], lu: int, lv: int) -> tuple[int, ...]:
+        """Join blocks lu != lv: the canonical labels of the coarser partition.
+
+        Two blocks need two slots, so the lookup always returns a tuple.
+        """
+        return itemgetter(*labels)(self.joins[lu][lv])
+
+    def retire(self, labels: tuple[int, ...], slots: list[int]) -> tuple[tuple[int, ...], int]:
+        """Drop ``slots`` (in descending order) from ``labels``.
+
+        Returns the canonical labels of the kept slots and the number of blocks
+        that lost their last slot: components that are now complete.
+        """
+        completed = 0
+        for p in slots:
+            c = labels[p]
+            head, tail = labels[:p], labels[p + 1 :]
+            rest = head + tail
+            if c in head:
+                # block c still starts before p: no first slot moves
+                labels = rest
+                continue
+            if c in tail:
+                # block c now starts at its next slot q, after the blocks that
+                # first appear between p and q (c+1..d)
+                d = max(labels[: labels.index(c, p + 1)])
+            else:
+                # p was block c's only slot: every higher block shifts down
+                completed += 1
+                d = max(labels)
+            if d == c:
+                labels = rest
+            elif len(rest) > 1:
+                labels = itemgetter(*rest)(self.moves[c][d])
+            else:
+                labels = (0,)  # one slot left: it is block 0
+        return labels, completed
 
 
 def _sweep_edge_order(g: Graph) -> list[int]:
@@ -173,6 +250,9 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
             first_step.setdefault(w, step)
             last_step[w] = step
     isolated = n - len(last_step)
+    width = max(sum(first_step[w] <= step <= last_step[w] for w in last_step) for step in range(m))
+    maps = _LabelMaps(width)
+    merge, retire = maps.merge, maps.retire
 
     active: list[int] = []
     slot: dict[int, int] = {}
@@ -188,48 +268,46 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
                 slot[w] = len(active)
                 active.append(w)
                 states = {
-                    (labels + (len(set(labels)),), done): vec
+                    (labels + (max(labels, default=-1) + 1,), done): vec
                     for (labels, done), vec in states.items()
                 }
-        retiring = [w for w in (u, v) if last_step[w] == step]
-        keep = [i for i in range(len(active)) if active[i] not in retiring]
+        drops = sorted((slot[w] for w in (u, v) if last_step[w] == step), reverse=True)
         su, sv = slot[u], slot[v]
 
         next_states: dict[tuple[tuple[int, ...], int], int] = {}
-        for (labels, done), vec in states.items():
-            lu, lv = labels[su], labels[sv]
-            if lu == lv:
-                merged = labels
-            else:
-                merged = _canonical_labels(
-                    tuple(lu if lab == lv else lab for lab in labels)
+        get = next_states.get
+        source = iter(states.items())
+        # The states only grow within a step, so checking the budget every
+        # _BUDGET_STRIDE source states refuses exactly the sweeps a check at
+        # the end of the step would, and sooner.
+        for _ in range(0, len(states), _BUDGET_STRIDE):
+            for key, vec in islice(source, _BUDGET_STRIDE):
+                labels, done = key
+                if drops:
+                    kept, completed = retire(labels, drops)
+                    key = (kept, done + completed)
+                lu, lv = labels[su], labels[sv]
+                if lu == lv:
+                    # skipping and taking the edge lead to the same state
+                    next_states[key] = get(key, 0) + vec + (vec << _DIGIT_BITS)
+                    continue
+                next_states[key] = get(key, 0) + vec
+                merged = merge(labels, lu, lv)
+                if drops:
+                    kept, completed = retire(merged, drops)
+                    key = (kept, done + completed)
+                else:
+                    key = (merged, done)
+                next_states[key] = get(key, 0) + (vec << _DIGIT_BITS)
+            if len(next_states) > MAX_FRONTIER_STATES:
+                raise FrontierOverflowError(
+                    f"exact enumeration needs more than its budget of {MAX_FRONTIER_STATES} "
+                    f"partition states (reached at edge {step + 1}/{m}); use a graph with "
+                    "fewer edges, or a Monte Carlo estimate (`mstlength simulate --cap 0`)"
                 )
-            if retiring:
-                kept = tuple(labels[i] for i in keep)
-                skip_key = (
-                    _canonical_labels(kept),
-                    done + len(set(labels)) - len(set(kept)),
-                )
-                kept = tuple(merged[i] for i in keep)
-                take_key = (
-                    _canonical_labels(kept),
-                    done + len(set(merged)) - len(set(kept)),
-                )
-            else:
-                skip_key = (labels, done)
-                take_key = (merged, done)
-            next_states[skip_key] = next_states.get(skip_key, 0) + vec
-            next_states[take_key] = next_states.get(take_key, 0) + (vec << _DIGIT_BITS)
-
-        if len(next_states) > MAX_FRONTIER_STATES:
-            raise FrontierOverflowError(
-                f"exact enumeration needs more than its budget of {MAX_FRONTIER_STATES} "
-                f"partition states (reached at edge {step + 1}/{m}); use a graph with "
-                "fewer edges, or a Monte Carlo estimate (`mstlength simulate --cap 0`)"
-            )
         states = next_states
-        if retiring:
-            active = [w for w in active if w not in retiring]
+        if drops:
+            active = [w for w in active if last_step[w] != step]
             slot = {w: i for i, w in enumerate(active)}
 
     counts: dict[tuple[int, int], int] = {}
@@ -316,7 +394,7 @@ def tutte_integrand(table: RankTable) -> IntPolynomial:
     """
     n = table.n
     columns = [[0] * (n - 1) for _ in range(table.m - n + 2)]
-    for (i, j), c in table.tutte.partial_x().terms.items():
+    for (i, j), c in table.tutte_x.terms.items():
         columns[j][n - 2 - i] = c
     one_minus_t = IntPolynomial((1, -1))
     acc = IntPolynomial.zero()
@@ -356,7 +434,7 @@ def check_hyperbola_identities(
     weighted = sum(
         (table.component_sum(l) * (y - 1) ** l for l in range(m + 1)), Fraction(0)
     )
-    second = table.tutte.partial_x().evaluate(x, y) == (x - 1) ** (n - 2) * (weighted - ratio)
+    second = table.tutte_x.evaluate(x, y) == (x - 1) ** (n - 2) * (weighted - ratio)
     return first, second
 
 
@@ -370,6 +448,9 @@ def check_integrand_ratio(
         table = build_rank_table(g)
     x, y = _hyperbola_point(t)
     t = Fraction(t)
-    lhs = (1 - t) / t * table.tutte.partial_x().evaluate(x, y) / table.tutte.evaluate(x, y)
-    rhs = direct_integrand(g, table).evaluate(t)
-    return lhs == rhs
+    lhs = (1 - t) / t * table.tutte_x.evaluate(x, y) / table.tutte.evaluate(x, y)
+    # p(t) = sum over subgraphs A of k(A) t^|A| (1-t)^(m-|A|), minus 1, over
+    # the common denominator b^m of t = a/b
+    a, b, m = t.numerator, t.denominator, table.m
+    weighted = sum(table.component_sum(l) * a**l * (b - a) ** (m - l) for l in range(m + 1))
+    return lhs == Fraction(weighted, b**m) - 1

@@ -140,6 +140,28 @@ def rank_counts_by_subsets(g: Graph) -> dict[tuple[int, int], int]:
     return counts
 
 
+def canonical_labels(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """Relabel partition blocks by first occurrence: (2, 0, 2) -> (0, 1, 0)."""
+    mapping: dict[int, int] = {}
+    out = []
+    for lab in labels:
+        if lab not in mapping:
+            mapping[lab] = len(mapping)
+        out.append(mapping[lab])
+    return tuple(out)
+
+
+def merge_labels(labels: tuple[int, ...], lu: int, lv: int) -> tuple[int, ...]:
+    """Join blocks lu and lv of a partition, then relabel by first occurrence."""
+    return canonical_labels(tuple(lu if lab == lv else lab for lab in labels))
+
+
+def retire_labels(labels: tuple[int, ...], keep: list[int]) -> tuple[tuple[int, ...], int]:
+    """Keep only the slots in ``keep``: canonical kept labels, blocks that vanished."""
+    kept = tuple(labels[i] for i in keep)
+    return canonical_labels(kept), len(set(labels)) - len(set(kept))
+
+
 def tutte_polynomial_networkx(g: Graph) -> dict[tuple[int, int], int]:
     """Tutte polynomial terms {(x_deg, y_deg): coefficient} by deletion-contraction.
 

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import islice
+from operator import length_hint
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ import hypothesis.strategies as st
 from mstlength import enumeration, expectation
 from mstlength.enumeration import (
     _DIGIT_BITS,
+    _LabelMaps,
     RankTable,
     build_rank_table,
     check_hyperbola_identities,
@@ -17,7 +20,7 @@ from mstlength.enumeration import (
     tutte_polynomial,
     _frontier_counts,
 )
-from mstlength.errors import DisconnectedGraphError, EnumerationCapError
+from mstlength.errors import DisconnectedGraphError, EnumerationCapError, FrontierOverflowError
 from mstlength.exactpoly import BivariatePolynomial, IntPolynomial, binomial
 from mstlength.graphs import (
     MAX_EDGES,
@@ -29,7 +32,10 @@ from mstlength.graphs import (
 )
 
 from .oracles import (
+    canonical_labels,
+    merge_labels,
     rank_counts_by_subsets,
+    retire_labels,
     spanning_tree_count_kirchhoff,
     tutte_polynomial_networkx,
 )
@@ -99,6 +105,13 @@ def test_k10_exact_expectation(monkeypatch):
     assert table.spanning_tree_count() == 10**8  # Cayley: n^(n-2)
 
 
+@pytest.mark.slow
+def test_k11_exact_expectation():
+    result = expectation.expected_mst_length(complete_graph(11), cap=55)
+    # Matches Gilbert's connectivity recurrence for K_11.
+    assert result.expectation == Fraction(1664580094914570154, 1481325385326820215)
+
+
 def test_methods_agree_on_generators():
     for g in (complete_graph(4), bipartite_graph(3, 2), cycle_graph(6), path_graph(7)):
         assert _frontier_counts(g) == rank_counts_by_subsets(g)
@@ -108,6 +121,78 @@ def test_methods_agree_on_generators():
 @given(connected_graphs(max_n=6, max_m=12))
 def test_methods_agree_random(g):
     assert _frontier_counts(g) == rank_counts_by_subsets(g)
+
+
+def _wheel(rim: int) -> Graph:
+    spokes = [(0, i) for i in range(1, rim + 1)]
+    return Graph(rim + 1, tuple(spokes + [(i, i % rim + 1) for i in range(1, rim + 1)]))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _wheel(7),
+        # 2 x 5 ladder, rails numbered out of order
+        Graph(10, ((0, 5), (5, 2), (2, 7), (7, 4), (1, 6), (6, 3), (3, 8), (8, 9))
+              + ((0, 1), (5, 6), (2, 3), (7, 8), (4, 9))),
+        # K_5 on scattered vertices with a tail off one of them
+        Graph(9, tuple((u, v) for u in (6, 1, 4, 0, 3) for v in (6, 1, 4, 0, 3) if u < v)
+              + ((2, 6), (5, 2), (7, 5), (8, 7))),
+    ],
+    ids=["wheel7", "ladder2x5", "K5_tail"],
+)
+def test_methods_agree_on_wider_graphs(g):
+    assert 13 <= g.m <= 14
+    assert _frontier_counts(g) == rank_counts_by_subsets(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sweep_invariant_under_vertex_relabelling(data):
+    g = data.draw(connected_graphs(max_n=9, max_m=20))
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = Graph(g.n, tuple(sorted((perm[u], perm[v]) for u, v in g.edges)))
+    table = RankTable(g.n, g.m, _frontier_counts(relabelled))
+    table.validate()
+    assert table.counts == _frontier_counts(g)
+    assert table.spanning_tree_count() == spanning_tree_count_kirchhoff(g)
+
+
+@st.composite
+def _rgs_labels(draw, max_slots: int = 10) -> tuple[int, ...]:
+    raw = draw(st.lists(st.integers(0, max_slots - 1), min_size=1, max_size=max_slots))
+    return canonical_labels(tuple(raw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_label_maps_match_oracle(data):
+    labels = data.draw(_rgs_labels())
+    maps = _LabelMaps(10)
+    drops = data.draw(st.sets(st.sampled_from(range(len(labels)))))
+    keep = [i for i in range(len(labels)) if i not in drops]
+    assert maps.retire(labels, sorted(drops, reverse=True)) == retire_labels(labels, keep)
+    blocks = max(labels) + 1
+    if blocks >= 2:
+        lu = data.draw(st.integers(0, blocks - 1))
+        lv = data.draw(st.integers(0, blocks - 1).filter(lambda b: b != lu))
+        assert maps.merge(labels, lu, lv) == merge_labels(labels, lu, lv)
+
+
+def test_budget_refusal_stops_inside_the_step(monkeypatch):
+    sources = []
+
+    def recording_islice(iterable, stop):
+        sources.append(iterable)
+        return islice(iterable, stop)
+
+    monkeypatch.setattr(enumeration, "islice", recording_islice)
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", 210)
+    monkeypatch.setattr(enumeration, "_BUDGET_STRIDE", 8)
+    with pytest.raises(FrontierOverflowError, match="budget of 210 partition states"):
+        _frontier_counts(complete_graph(7))
+    # the refusing step left some of its source states unread
+    assert length_hint(sources[-1]) > 0
 
 
 def test_disconnected_integrand_rejected():
@@ -177,20 +262,31 @@ def test_tutte_matches_networkx_random(g):
 
 
 def test_rank_table_builds_tutte_once(monkeypatch):
-    built = []
+    built, derived = [], []
+    partial_x = BivariatePolynomial.partial_x
 
     def counting(table):
         built.append(table)
         return tutte_polynomial(table)
 
+    def counting_partial_x(poly):
+        derived.append(poly)
+        return partial_x(poly)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("p(t) rebuilt at a verify point")
+
     monkeypatch.setattr(enumeration, "tutte_polynomial", counting)
+    monkeypatch.setattr(BivariatePolynomial, "partial_x", counting_partial_x)
+    monkeypatch.setattr(enumeration, "direct_integrand", refuse)
     g = bipartite_graph(3, 2)
     table = build_rank_table(g)
     for t in (Fraction(1, 3), Fraction(2, 5)):
-        check_hyperbola_identities(g, t, table)
-        check_integrand_ratio(g, t, table)
+        assert check_hyperbola_identities(g, t, table) == (True, True)
+        assert check_integrand_ratio(g, t, table)
     tutte_integrand(table)
     assert built == [table]
+    assert derived == [table.tutte]
 
 
 def test_tutte_integrand_matches_direct():
