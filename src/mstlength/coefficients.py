@@ -236,7 +236,7 @@ def all_routes(
         coeff_structural(g, census, i) for i in range(min(STRUCTURAL_MAX_INDEX, m) + 1)
     ]
     vectors = {
-        ROUTE_DIRECT: _coefficients_of(direct_integrand(g, table), m),
+        ROUTE_DIRECT: _coefficients_of(direct_integrand(table), m),
         ROUTE_EQ2: tuple(coeff_from_component_sums(table, i) for i in range(m + 1)),
         ROUTE_RANK: _coefficients_of(tutte_integrand(table), m),
         ROUTE_STRUCTURAL: tuple(structural + [None] * (m + 1 - len(structural))),
@@ -244,23 +244,14 @@ def all_routes(
     return {name: CoefficientVector(name, a) for name, a in vectors.items()}
 
 
-def verify_route_agreement(
-    g: Graph,
-    table: RankTable,
-    census: SubgraphCensus,
-) -> dict[str, CoefficientVector]:
-    """Compute all routes and insist they agree; returns them on success.
+def route_failures(table: RankTable, routes: dict[str, CoefficientVector]) -> list[str]:
+    """Names of the routes that disagree with ``eq2``; empty when all agree.
 
     The nullity route (i >= 3) is checked as well even though it is not one of
-    the published vectors.  Disagreement means a bug somewhere, so the error
-    carries every vector for inspection.
+    the published vectors.
     """
-    routes = all_routes(g, table, census)
     reference = routes[ROUTE_EQ2].a
-    failures = []
-    for name in (ROUTE_DIRECT, ROUTE_RANK):
-        if routes[name].a != reference:
-            failures.append(name)
+    failures = [name for name in (ROUTE_DIRECT, ROUTE_RANK) if routes[name].a != reference]
     if any(
         routes[ROUTE_STRUCTURAL].a[i] != reference[i]
         for i in range(min(STRUCTURAL_MAX_INDEX, table.m) + 1)
@@ -270,6 +261,21 @@ def verify_route_agreement(
         coeff_from_nullities(table, i) != reference[i] for i in range(3, table.m + 1)
     ):
         failures.append("nullity")
+    return failures
+
+
+def verify_route_agreement(
+    g: Graph,
+    table: RankTable,
+    census: SubgraphCensus,
+) -> dict[str, CoefficientVector]:
+    """Compute all routes and insist they agree; returns them on success.
+
+    Disagreement means a bug somewhere, so the error carries every vector for
+    inspection.
+    """
+    routes = all_routes(g, table, census)
+    failures = route_failures(table, routes)
     if failures:
         detail = ", ".join(
             f"{name}={list(vec.a)}" for name, vec in sorted(routes.items())

@@ -38,7 +38,7 @@ from .errors import (
     FrontierOverflowError,
 )
 from .exactpoly import BivariatePolynomial, IntPolynomial, binomial
-from .graphs import Graph, is_connected
+from .graphs import Graph
 
 DEFAULT_EDGE_CAP = 28
 
@@ -337,22 +337,21 @@ def build_rank_table(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> RankTable:
     return table
 
 
-def direct_integrand(
-    g: Graph,
-    table: RankTable | None = None,
-    *,
-    cap: int = DEFAULT_EDGE_CAP,
-) -> IntPolynomial:
+def _require_connected(table: RankTable) -> None:
+    """Refuse a table whose full edge set does not have rank n-1."""
+    if table.counts.get((table.m, table.n - 1)) != 1:
+        raise DisconnectedGraphError("rank table does not come from a connected graph")
+
+
+def direct_integrand(table: RankTable) -> IntPolynomial:
     """Integrand polynomial p(t) whose integral over [0,1] is E[L(g)].
 
     p(t) = sum over subgraphs A of k(A) t^{|A|} (1-t)^{m-|A|}, minus 1,
     assembled from the rank table by expanding each t^l (1-t)^{m-l} with
     polynomial multiplication.  Constant term is n-1; degree is at most m.
+    Requires a table built from a connected graph.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("integrand is defined for connected graphs only")
-    if table is None:
-        table = build_rank_table(g, cap=cap)
+    _require_connected(table)
     one_minus_t = IntPolynomial((1, -1))
     power = IntPolynomial.one()
     acc = IntPolynomial.zero()
@@ -369,8 +368,7 @@ def tutte_polynomial(table: RankTable) -> BivariatePolynomial:
     T(x, y) = sum over cells of k_r^l (x-1)^{(n-1)-r} (y-1)^{l-r}; requires a
     table built from a connected graph (so the graph itself has rank n-1).
     """
-    if table.counts.get((table.m, table.n - 1)) != 1:
-        raise DisconnectedGraphError("rank table does not come from a connected graph")
+    _require_connected(table)
     terms: dict[tuple[int, int], int] = {}
     for (l, r), count in table.counts.items():
         a = (table.n - 1) - r
@@ -385,35 +383,50 @@ def tutte_polynomial(table: RankTable) -> BivariatePolynomial:
     return BivariatePolynomial(terms)
 
 
+def _along_hyperbola(poly: BivariatePolynomial, nx: int, ny: int) -> IntPolynomial:
+    """sum c_ij t^{nx-i} (1-t)^{ny-j} for poly = sum c_ij x^i y^j (i <= nx, j <= ny).
+
+    That is poly at (x, y) = (1/t, 1/(1-t)), on the hyperbola (x-1)(y-1) = 1,
+    times t^nx (1-t)^ny: an integer polynomial in t, built column by column
+    (A_j(t) = sum_i c_ij t^{nx-i}) by Horner's rule in (1-t).
+    """
+    columns = [[0] * (nx + ny + 1) for _ in range(ny + 1)]
+    for (i, j), c in poly.terms.items():
+        columns[j][nx - i] = c
+    acc = [0] * (nx + ny + 1)
+    for column in columns:
+        # acc (1-t) + column; the degree never exceeds nx + ny, so nothing is cut off
+        acc = [c + a - b for c, a, b in zip(column, acc, [0] + acc)]
+    return IntPolynomial(acc)
+
+
 def tutte_integrand(table: RankTable) -> IntPolynomial:
     """Integrand p(t) = ((1-t)/t) T_x/T at (x, y) = (1/t, 1/(1-t)) (Steele's formula).
 
-    There T = t^{1-n} (1-t)^{n-1-m}, so with T_x = sum c_ij x^i y^j this is
-    p(t) = (1-t) sum_j A_j(t) (1-t)^{m-n+1-j} with A_j(t) = sum_i c_ij t^{n-2-i},
-    evaluated in integers by Horner's rule in (1-t).
+    There T = t^{1-n} (1-t)^{n-1-m}, so p(t) is T_x scaled by t^{n-2} (1-t)^{m-n+2}.
     """
     n = table.n
-    columns = [[0] * (n - 1) for _ in range(table.m - n + 2)]
-    for (i, j), c in table.tutte_x.terms.items():
-        columns[j][n - 2 - i] = c
-    one_minus_t = IntPolynomial((1, -1))
-    acc = IntPolynomial.zero()
-    for column in columns:
-        acc = acc * one_minus_t + IntPolynomial(column)
-    return acc * one_minus_t
+    return _along_hyperbola(table.tutte_x, n - 2, table.m - n + 2)
 
 
-def _hyperbola_point(t: Fraction) -> tuple[Fraction, Fraction]:
+def _hyperbola_sides(table: RankTable, t: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """tau(t), p_rank(t) and p(t), the sides of the Tutte checks at 0 < t < 1.
+
+    tau is T scaled by t^{n-1} (1-t)^{m-n+1} along the hyperbola and p_rank is
+    ``tutte_integrand``.  p is the component sum sum_A k(A) t^|A| (1-t)^(m-|A|)
+    minus 1, taken in integers over the common denominator b^m of t = a/b.
+    """
+    t = Fraction(t)
     if not 0 < t < 1:
         raise ValueError(f"t must be strictly between 0 and 1, got {t}")
-    return 1 / Fraction(t), 1 / (1 - Fraction(t))
+    n, m = table.n, table.m
+    a, b = t.numerator, t.denominator
+    weighted = sum(table.component_sum(l) * a**l * (b - a) ** (m - l) for l in range(m + 1))
+    tau = _along_hyperbola(table.tutte, n - 1, m - n + 1).evaluate(t)
+    return tau, tutte_integrand(table).evaluate(t), Fraction(weighted, b**m) - 1
 
 
-def check_hyperbola_identities(
-    g: Graph,
-    t: Fraction,
-    table: RankTable | None = None,
-) -> tuple[bool, bool]:
+def check_hyperbola_identities(table: RankTable, t: Fraction) -> tuple[bool, bool]:
     """Exact checks of the two Tutte closed forms at (x, y) = (1/t, 1/(1-t)).
 
     On the hyperbola (x-1)(y-1) = 1 the Whitney sum telescopes:
@@ -421,36 +434,20 @@ def check_hyperbola_identities(
         T(x, y)   = (x-1)^{n-1} (x/(x-1))^m
         T_x(x, y) = (x-1)^{n-2} [ sum_A k(A) (y-1)^{|A|} - (x/(x-1))^m ]
 
-    Returns the pair of verdicts, evaluated in exact rational arithmetic.
+    Times t^{n-1} (1-t)^{m-n+1} the first reads tau(t) = 1; times
+    t^{n-2} (1-t)^{m-n+2} the second reads p_rank(t) = p(t).  Both factors are
+    nonzero for 0 < t < 1, so each verdict compares integer polynomials at t.
     """
-    if table is None:
-        table = build_rank_table(g)
-    x, y = _hyperbola_point(t)
-    n, m = table.n, table.m
-    ratio = (x / (x - 1)) ** m
-    closed_form = (x - 1) ** (n - 1) * ratio
-    first = table.tutte.evaluate(x, y) == closed_form
-
-    weighted = sum(
-        (table.component_sum(l) * (y - 1) ** l for l in range(m + 1)), Fraction(0)
-    )
-    second = table.tutte_x.evaluate(x, y) == (x - 1) ** (n - 2) * (weighted - ratio)
-    return first, second
+    tau, p_rank, p = _hyperbola_sides(table, t)
+    return tau == 1, p_rank == p
 
 
-def check_integrand_ratio(
-    g: Graph,
-    t: Fraction,
-    table: RankTable | None = None,
-) -> bool:
-    """Exact check that ((1-t)/t) T_x/T at (1/t, 1/(1-t)) equals p(t)."""
-    if table is None:
-        table = build_rank_table(g)
-    x, y = _hyperbola_point(t)
-    t = Fraction(t)
-    lhs = (1 - t) / t * table.tutte_x.evaluate(x, y) / table.tutte.evaluate(x, y)
-    # p(t) = sum over subgraphs A of k(A) t^|A| (1-t)^(m-|A|), minus 1, over
-    # the common denominator b^m of t = a/b
-    a, b, m = t.numerator, t.denominator, table.m
-    weighted = sum(table.component_sum(l) * a**l * (b - a) ** (m - l) for l in range(m + 1))
-    return lhs == Fraction(weighted, b**m) - 1
+def check_integrand_ratio(table: RankTable, t: Fraction) -> bool:
+    """Exact check that ((1-t)/t) T_x/T at (1/t, 1/(1-t)) equals p(t), 0 < t < 1.
+
+    Times T t^{n-1} (1-t)^{m-n+1} it reads p_rank(t) = tau(t) p(t).  Nothing is
+    divided, so a corrupted T that vanishes at the point gives a verdict
+    instead of a ZeroDivisionError.
+    """
+    tau, p_rank, p = _hyperbola_sides(table, t)
+    return p_rank == tau * p

@@ -54,10 +54,6 @@ class IntPolynomial:
     def one(cls) -> IntPolynomial:
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, degree: int, coefficient: int = 1) -> IntPolynomial:
-        return cls((0,) * degree + (coefficient,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients

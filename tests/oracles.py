@@ -162,6 +162,34 @@ def retire_labels(labels: tuple[int, ...], keep: list[int]) -> tuple[tuple[int, 
     return canonical_labels(kept), len(set(labels)) - len(set(kept))
 
 
+def hyperbola_verdicts_by_fractions(table, t: Fraction) -> tuple[bool, bool, bool]:
+    """The closed-form, partial-form and ratio verdicts of the Tutte checks at t.
+
+    Evaluates the table's T and T_x term by term in Fractions at
+    (x, y) = (1/t, 1/(1-t)) and compares them with the forms the Whitney sum
+    telescopes to on the hyperbola (x-1)(y-1) = 1:
+    T = (x-1)^{n-1} (x/(x-1))^m and
+    T_x = (x-1)^{n-2} [sum_A k(A) (y-1)^{|A|} - (x/(x-1))^m].  The ratio
+    ((1-t)/t) T_x / T = p(t) is checked cross-multiplied, so it never divides.
+    """
+    t = Fraction(t)
+    x, y = 1 / t, 1 / (1 - t)
+    n, m = table.n, table.m
+
+    def at_point(poly) -> Fraction:
+        return sum((c * x**i * y**j for (i, j), c in poly.terms.items()), Fraction(0))
+
+    tutte, tutte_x = at_point(table.tutte), at_point(table.tutte_x)
+    ratio = (x / (x - 1)) ** m
+    weighted = sum((table.component_sum(l) * (y - 1) ** l for l in range(m + 1)), Fraction(0))
+    p = sum(table.component_sum(l) * t**l * (1 - t) ** (m - l) for l in range(m + 1)) - 1
+    return (
+        tutte == (x - 1) ** (n - 1) * ratio,
+        tutte_x == (x - 1) ** (n - 2) * (weighted - ratio),
+        tutte_x * (1 - t) / t == p * tutte,
+    )
+
+
 def tutte_polynomial_networkx(g: Graph) -> dict[tuple[int, int], int]:
     """Tutte polynomial terms {(x_deg, y_deg): coefficient} by deletion-contraction.
 

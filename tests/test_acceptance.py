@@ -109,8 +109,8 @@ def test_criterion_3_hyperbola_and_ratio_identities():
         g = _random_connected_graph(rng, max_m=16)
         table = build_rank_table(g)
         for t in HYPERBOLA_POINTS:
-            assert check_hyperbola_identities(g, t, table) == (True, True)
-            assert check_integrand_ratio(g, t, table)
+            assert check_hyperbola_identities(table, t) == (True, True)
+            assert check_integrand_ratio(table, t)
     elapsed = time.monotonic() - started
     ok = elapsed < 60.0
     _report(3, ok, f"closed-form/partial/ratio identities exact at 3 points x 50 graphs in {elapsed:.1f}s")
@@ -150,7 +150,7 @@ def test_criterion_5_complete_graph_closed_forms():
 
 def test_criterion_6_factorization():
     for n in range(2, 8):
-        p = direct_integrand(complete_graph(n))
+        p = direct_integrand(build_rank_table(complete_graph(n)))
         q = factor_out_unity_root(p, n)
         assert q.degree <= binomial(n - 1, 2), n
         assert q * IntPolynomial((1, -1)) ** (n - 1) == p, n
@@ -159,7 +159,7 @@ def test_criterion_6_factorization():
 
 def test_criterion_7_boundary_values(sweep):
     for g, table, _ in sweep:
-        p = direct_integrand(g, table)
+        p = direct_integrand(table)
         assert p.evaluate(0) == g.n - 1, g.edges
         assert p.evaluate(1) == 0, g.edges
         for j in range(1, 10):

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from mstlength import enumeration, expectation
-from mstlength.cli import main
+from mstlength import cli, enumeration, expectation
+from mstlength.cli import HYPERBOLA_POINTS, main
+from mstlength.enumeration import RankTable, build_rank_table
+from mstlength.graphs import bipartite_graph
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -96,6 +98,27 @@ def test_verify_passes_on_generators(capsys):
         payload = json.loads(out)
         assert payload["all_pass"] is True
         assert all(check["pass"] for check in payload["checks"])
+
+
+def test_verify_reports_failures_on_a_corrupted_table(capsys, monkeypatch):
+    table = build_rank_table(bipartite_graph(3, 2))
+    corrupted = RankTable(table.n, table.m, {**table.counts, (3, 2): 40})
+    monkeypatch.setattr(cli, "build_rank_table", lambda g, cap: corrupted)
+    code, out, _ = run_cli(capsys, "verify", "--gen", "bipartite", "3", "2")
+    payload = json.loads(out)
+    assert code == 4 and payload["all_pass"] is False
+    tutte = [
+        f"{check}@t={t}"
+        for t in HYPERBOLA_POINTS
+        for check in ("tutte-closed-form", "tutte-partial-form", "integrand-ratio")
+    ]
+    assert [c["name"] for c in payload["checks"] if not c["pass"]] == [
+        "row-sums",
+        "route-agreement",
+        *tutte,
+        "rank-cycle-correction@l=3",
+        *(f"cycle-identities@i={i}" for i in range(3, 7)),
+    ]
 
 
 def test_verify_disconnected_exit_2(tmp_path, capsys):

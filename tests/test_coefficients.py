@@ -141,7 +141,7 @@ def test_route_agreement_random(g):
     if g.m >= 2:
         assert a[2] == 0
     assert sum(v for v in a) == 1  # equivalent to p(1) = 0
-    poly = direct_integrand(g, table)
+    poly = direct_integrand(table)
     assert all(poly.coefficient(i) == a[i] for i in range(1, g.m + 1))
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mstlength import enumeration, expectation
+from mstlength.cli import HYPERBOLA_POINTS
 from mstlength.enumeration import (
     _DIGIT_BITS,
     _LabelMaps,
@@ -33,6 +34,7 @@ from mstlength.graphs import (
 
 from .oracles import (
     canonical_labels,
+    hyperbola_verdicts_by_fractions,
     merge_labels,
     rank_counts_by_subsets,
     retire_labels,
@@ -197,13 +199,15 @@ def test_budget_refusal_stops_inside_the_step(monkeypatch):
 
 def test_disconnected_integrand_rejected():
     with pytest.raises(DisconnectedGraphError):
-        direct_integrand(Graph(4, ((0, 1), (2, 3))))
+        direct_integrand(build_rank_table(Graph(4, ((0, 1), (2, 3)))))
 
 
 def test_direct_integrand_examples():
-    assert direct_integrand(bipartite_graph(3, 2)) == IntPolynomial([4, -6, 0, 0, 3, 0, -1])
-    assert direct_integrand(complete_graph(2)) == IntPolynomial([1, -1])
-    assert direct_integrand(cycle_graph(4)) == IntPolynomial([3, -4, 0, 0, 1])
+    assert direct_integrand(build_rank_table(bipartite_graph(3, 2))) == IntPolynomial(
+        [4, -6, 0, 0, 3, 0, -1]
+    )
+    assert direct_integrand(build_rank_table(complete_graph(2))) == IntPolynomial([1, -1])
+    assert direct_integrand(build_rank_table(cycle_graph(4))) == IntPolynomial([3, -4, 0, 0, 1])
 
 
 def test_tutte_small_graphs():
@@ -282,8 +286,8 @@ def test_rank_table_builds_tutte_once(monkeypatch):
     g = bipartite_graph(3, 2)
     table = build_rank_table(g)
     for t in (Fraction(1, 3), Fraction(2, 5)):
-        assert check_hyperbola_identities(g, t, table) == (True, True)
-        assert check_integrand_ratio(g, t, table)
+        assert check_hyperbola_identities(table, t) == (True, True)
+        assert check_integrand_ratio(table, t)
     tutte_integrand(table)
     assert built == [table]
     assert derived == [table.tutte]
@@ -293,7 +297,7 @@ def test_tutte_integrand_matches_direct():
     graphs = (Graph(1), complete_graph(2), complete_graph(6), bipartite_graph(4, 3), cycle_graph(9))
     for g in graphs:
         table = build_rank_table(g)
-        assert tutte_integrand(table) == direct_integrand(g, table)
+        assert tutte_integrand(table) == direct_integrand(table)
     assert tutte_integrand(build_rank_table(complete_graph(2))) == IntPolynomial([1, -1])
 
 
@@ -302,36 +306,77 @@ def test_digit_packing_holds_to_the_edge_limit():
 
 
 def test_hyperbola_identities_examples():
-    assert check_hyperbola_identities(complete_graph(3), Fraction(1, 2)) == (True, True)
-    assert check_hyperbola_identities(bipartite_graph(3, 2), Fraction(1, 3)) == (True, True)
-    assert check_hyperbola_identities(complete_graph(2), Fraction(2, 5)) == (True, True)
+    assert check_hyperbola_identities(
+        build_rank_table(complete_graph(3)), Fraction(1, 2)
+    ) == (True, True)
+    assert check_hyperbola_identities(
+        build_rank_table(bipartite_graph(3, 2)), Fraction(1, 3)
+    ) == (True, True)
+    assert check_hyperbola_identities(
+        build_rank_table(complete_graph(2)), Fraction(2, 5)
+    ) == (True, True)
 
 
 def test_integrand_ratio_examples():
-    assert check_integrand_ratio(bipartite_graph(3, 2), Fraction(1, 2))
-    assert check_integrand_ratio(complete_graph(4), Fraction(1, 3))
-    assert check_integrand_ratio(complete_graph(2), Fraction(1, 2))
+    assert check_integrand_ratio(build_rank_table(bipartite_graph(3, 2)), Fraction(1, 2))
+    assert check_integrand_ratio(build_rank_table(complete_graph(4)), Fraction(1, 3))
+    assert check_integrand_ratio(build_rank_table(complete_graph(2)), Fraction(1, 2))
 
 
 def test_hyperbola_point_validation():
     with pytest.raises(ValueError):
-        check_hyperbola_identities(complete_graph(3), Fraction(3, 2))
+        check_hyperbola_identities(build_rank_table(complete_graph(3)), Fraction(3, 2))
     with pytest.raises(ValueError):
-        check_integrand_ratio(complete_graph(3), Fraction(0))
+        check_integrand_ratio(build_rank_table(complete_graph(3)), Fraction(0))
 
 
 @settings(max_examples=20, deadline=None)
 @given(connected_graphs(max_n=6, max_m=10), st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)]))
 def test_identities_hold_on_random_graphs(g, t):
     table = build_rank_table(g)
-    assert check_hyperbola_identities(g, t, table) == (True, True)
-    assert check_integrand_ratio(g, t, table)
+    assert check_hyperbola_identities(table, t) == (True, True)
+    assert check_integrand_ratio(table, t)
+
+
+def _tutte_verdicts(table, t):
+    return (*check_hyperbola_identities(table, t), check_integrand_ratio(table, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=7), st.data())
+def test_tutte_checks_match_fraction_oracle_on_corrupted_tables(g, data):
+    t = data.draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(1, 7)]))
+    table = build_rank_table(g)
+    assert _tutte_verdicts(table, t) == hyperbola_verdicts_by_fractions(table, t) == (True,) * 3
+    # bump one cell, keeping the (m, n-1) cell that marks a connected graph
+    cell = data.draw(st.sampled_from(sorted(set(table.counts) - {(g.m, g.n - 1)})))
+    delta = data.draw(st.sampled_from([-1, 1, 7]))
+    bumped = RankTable(g.n, g.m, {**table.counts, cell: table.counts[cell] + delta})
+    verdicts = _tutte_verdicts(bumped, t)
+    assert verdicts == hyperbola_verdicts_by_fractions(bumped, t)
+    assert not verdicts[0]  # the bump changes a row sum, and tau(t) is their weighted sum
+    # a pure y^j term changes T but not T_x: only the partial form still holds
+    shifted = RankTable(g.n, g.m, table.counts)
+    j = data.draw(st.integers(0, g.m - g.n + 1))
+    shifted.__dict__["tutte"] = table.tutte + BivariatePolynomial({(0, j): delta})
+    verdicts = _tutte_verdicts(shifted, t)
+    assert verdicts == hyperbola_verdicts_by_fractions(shifted, t) == (False, True, False)
+
+
+def test_tutte_checks_fail_on_tutte_plus_y():
+    table = build_rank_table(bipartite_graph(3, 2))
+    shifted = RankTable(table.n, table.m, table.counts)
+    shifted.__dict__["tutte"] = table.tutte + BivariatePolynomial({(0, 1): 1})
+    assert shifted.tutte_x == table.tutte_x
+    for t in HYPERBOLA_POINTS:
+        assert _tutte_verdicts(table, t) == (True, True, True)
+        assert _tutte_verdicts(shifted, t) == (False, True, False)
 
 
 @settings(max_examples=20, deadline=None)
 @given(connected_graphs(max_n=7, max_m=14))
 def test_integrand_boundary_values(g):
-    p = direct_integrand(g)
+    p = direct_integrand(build_rank_table(g))
     assert p.evaluate(0) == g.n - 1
     assert p.evaluate(1) == 0
     assert p.degree <= g.m
