@@ -124,6 +124,14 @@ class RankTable:
         for l in range(self.m + 1):
             if self.row_sum(l) != binomial(self.m, l):
                 raise ValueError(f"row {l} sums to {self.row_sum(l)}, expected C({self.m},{l})")
+        # No subgraph has more independent cycles than the whole edge set.
+        (full_rank,) = (r for r, c in self._rows[self.m].items() if c)
+        for (l, r), c in self.counts.items():
+            if c and l - r > self.m - full_rank:
+                raise ValueError(
+                    f"nullity {l - r} at (l={l}, r={r}) exceeds the full edge set's "
+                    f"nullity {self.m - full_rank}"
+                )
 
 
 def _check_cap(m: int, cap: int) -> None:
@@ -384,20 +392,27 @@ def tutte_polynomial(table: RankTable) -> BivariatePolynomial:
 
 
 def _along_hyperbola(poly: BivariatePolynomial, nx: int, ny: int) -> IntPolynomial:
-    """sum c_ij t^{nx-i} (1-t)^{ny-j} for poly = sum c_ij x^i y^j (i <= nx, j <= ny).
+    """sum c_ij t^{nx-i} (1-t)^{ny-j} for poly = sum c_ij x^i y^j (i <= nx).
 
     That is poly at (x, y) = (1/t, 1/(1-t)), on the hyperbola (x-1)(y-1) = 1,
     times t^nx (1-t)^ny: an integer polynomial in t, built column by column
     (A_j(t) = sum_i c_ij t^{nx-i}) by Horner's rule in (1-t).
+
+    T and T_x of a graph have y-degree at most its nullity, so j <= ny.  A
+    corrupted table can pass it by k; the columns then run to ny + k and the
+    result is divided by (1-t)^k, exactly: each cell (l, r) of the table adds a
+    multiple of (1-t)^(m-l) to the sum, so any table with l <= m divides.
     """
-    columns = [[0] * (nx + ny + 1) for _ in range(ny + 1)]
+    k = max(0, max((j for _, j in poly.terms), default=0) - ny)
+    columns = [[0] * (nx + ny + k + 1) for _ in range(ny + k + 1)]
     for (i, j), c in poly.terms.items():
         columns[j][nx - i] = c
-    acc = [0] * (nx + ny + 1)
+    acc = [0] * (nx + ny + k + 1)
     for column in columns:
-        # acc (1-t) + column; the degree never exceeds nx + ny, so nothing is cut off
+        # acc (1-t) + column; the degree never exceeds nx + ny + k, so nothing is cut off
         acc = [c + a - b for c, a, b in zip(column, acc, [0] + acc)]
-    return IntPolynomial(acc)
+    scaled = IntPolynomial(acc)
+    return scaled.divide_exact(IntPolynomial((1, -1)) ** k) if k else scaled
 
 
 def tutte_integrand(table: RankTable) -> IntPolynomial:

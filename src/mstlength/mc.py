@@ -6,6 +6,14 @@ function of the seed and the trial index.  Block boundaries are fixed, worker
 processes only ever split on block boundaries, and aggregation uses exact
 summation (math.fsum), so the estimate is bit-identical for any worker count.
 
+One block is one weight matrix, a row per trial, and Kruskal runs across all
+of its rows at once (``_mst_lengths``): a stable argsort ranks each row's
+edges, then the rank columns are taken in turn, each one a handful of array
+operations over the rows still short of a spanning tree, with one flat
+union-find array holding every row's vertices.  Each row adds its accepted
+weights in rank order, exactly as the scalar reference
+``mst_length_for_weights`` does, so every per-trial length is the same float.
+
 Floating point is confined to this module; everything exact lives elsewhere.
 """
 
@@ -86,6 +94,67 @@ def mst_length_for_weights(g: Graph, weights: list[float]) -> float:
     return total
 
 
+def _roots(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Union-find roots of the flat slots x, halving every path on the way up.
+
+    The slots in x lie in different rows, so all of them step at once; a slot
+    already at its root rewrites parent[x] = x, which changes nothing.
+    """
+    p = parent[x]
+    while (p != x).any():
+        grandparent = parent[p]
+        parent[x] = grandparent
+        x = grandparent
+        p = parent[x]
+    return x
+
+
+def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], weights: np.ndarray) -> np.ndarray:
+    """MST length of every row of ``weights`` (shape (rows, m)), by Kruskal.
+
+    Column k of the stable argsort is each row's k-th lightest edge, ties going
+    to the lower edge index.  The columns are taken in turn across the live
+    rows, those still short of n - 1 tree edges; row r's vertices own slots
+    r*n .. r*n+n-1 of one flat union-find array.  An accepted edge adds its
+    weight to its row's total, so every total sums the same weights in the same
+    order as ``mst_length_for_weights`` and is bit-identical to it.  A row that
+    never gets n - 1 tree edges (a disconnected graph) ends with its spanning
+    forest's length, as the reference does.
+    """
+    rows, m = weights.shape
+    ends = np.array(edges, dtype=np.intp).reshape(m, 2)
+    eu, ev = ends[:, 0], ends[:, 1]
+    # Held in the narrowest type that fits an edge index: a byte for any Graph.
+    order = np.argsort(weights, axis=1, kind="stable").astype(np.min_scalar_type(m)).ravel()
+    flat_weights = weights.ravel()
+    parent = np.arange(rows * n)
+    lengths = np.zeros(rows)
+    live = np.arange(rows)
+    cell, base = live * m, live * n  # each live row's first entry in order and parent
+    total = np.zeros(rows)
+    picked = np.zeros(rows, dtype=np.intp)
+    for k in range(m):
+        e = order[cell + k]
+        u = _roots(parent, base + eu[e])
+        v = _roots(parent, base + ev[e])
+        join = u != v
+        # Adding 0.0 to a rejected row's total leaves it bit for bit as it was.
+        total += np.where(join, flat_weights[cell + e], 0.0)
+        parent[u] = v  # a no-op where u == v
+        picked += join
+        done = picked == n - 1
+        if done.any():
+            finished = np.flatnonzero(done)
+            lengths[live[finished]] = total[finished]
+            keep = np.flatnonzero(~done)
+            live, total, picked = live[keep], total[keep], picked[keep]
+            if not live.size:
+                break
+            cell, base = live * m, live * n
+    lengths[live] = total
+    return lengths
+
+
 def _simulate_blocks(
     n: int,
     edges: tuple[tuple[int, int], ...],
@@ -95,40 +164,14 @@ def _simulate_blocks(
     last_trial: int,
 ) -> list[float]:
     """MST lengths for trials [first_trial, last_trial) of the global stream."""
-    m = len(edges)
-    eu = [u for u, v in edges]
-    ev = [v for u, v in edges]
-    tree_edges = n - 1
     lengths: list[float] = []
     block = first_block
     trial = first_trial
     while trial < last_trial:
-        weights = _block_weights(seed, block, m)
-        # Stable argsort breaks weight ties by edge index.
-        order = np.argsort(weights, axis=1, kind="stable")
         row_lo = trial - block * BLOCK_TRIALS
         row_hi = min(BLOCK_TRIALS, last_trial - block * BLOCK_TRIALS)
-        for row in range(row_lo, row_hi):
-            w = weights[row].tolist()
-            parent = list(range(n))
-            total = 0.0
-            picked = 0
-            for e in order[row].tolist():
-                u = eu[e]
-                while parent[u] != u:
-                    parent[u] = parent[parent[u]]
-                    u = parent[u]
-                v = ev[e]
-                while parent[v] != v:
-                    parent[v] = parent[parent[v]]
-                    v = parent[v]
-                if u != v:
-                    parent[u] = v
-                    total += w[e]
-                    picked += 1
-                    if picked == tree_edges:
-                        break
-            lengths.append(total)
+        weights = _block_weights(seed, block, len(edges))[row_lo:row_hi]
+        lengths.extend(_mst_lengths(n, edges, weights).tolist())
         trial = (block + 1) * BLOCK_TRIALS
         block += 1
     return lengths

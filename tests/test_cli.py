@@ -10,7 +10,7 @@ import pytest
 from mstlength import cli, enumeration, expectation
 from mstlength.cli import HYPERBOLA_POINTS, main
 from mstlength.enumeration import RankTable, build_rank_table
-from mstlength.graphs import bipartite_graph
+from mstlength.graphs import bipartite_graph, path_graph
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -119,6 +119,23 @@ def test_verify_reports_failures_on_a_corrupted_table(capsys, monkeypatch):
         "rank-cycle-correction@l=3",
         *(f"cycle-identities@i={i}" for i in range(3, 7)),
     ]
+
+
+def test_verify_reports_failures_when_a_cell_passes_the_nullity(capsys, monkeypatch):
+    # One count of P_5 moved from (3, 3) to (3, 2): a cycle in a tree.  The
+    # Tutte polynomial then has a y-term above the graph's nullity 0.
+    table = build_rank_table(path_graph(5))
+    moved = {**table.counts, (3, 3): table.counts[(3, 3)] - 1, (3, 2): 1}
+    monkeypatch.setattr(cli, "build_rank_table", lambda g, cap: RankTable(5, 4, moved))
+    code, out, err = run_cli(capsys, "verify", "--gen", "path", "5", "--format", "plain")
+    assert code == 4 and err == ""
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  route-agreement",
+        "FAIL  rank-cycle-correction@l=3",
+        "FAIL  cycle-identities@i=3",
+        "FAIL  cycle-identities@i=4",
+    ]
+    assert out.splitlines()[-1] == "CHECK FAILURES PRESENT"
 
 
 def test_verify_disconnected_exit_2(tmp_path, capsys):

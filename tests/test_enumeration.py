@@ -388,3 +388,15 @@ def test_rank_table_validation_catches_corruption():
     broken = RankTable(3, 3, {**table.counts, (1, 1): 2})
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def test_validate_bounds_each_cell_by_the_graphs_nullity():
+    # P_5 is a tree: moving one 3-edge subgraph from rank 3 to rank 2 keeps
+    # every row sum and every rank bound, but claims a cycle a tree cannot have.
+    table = build_rank_table(path_graph(5))
+    table.validate()
+    moved = {**table.counts, (3, 3): table.counts[(3, 3)] - 1, (3, 2): 1}
+    with pytest.raises(ValueError, match=r"nullity 1 at \(l=3, r=2\).* nullity 0"):
+        RankTable(5, 4, moved).validate()
+    # On a disconnected graph the bound is the full edge set's own nullity.
+    RankTable(4, 2, _frontier_counts(Graph(4, ((0, 1), (2, 3))))).validate()

@@ -1,14 +1,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mstlength import mc
 from mstlength.errors import DisconnectedGraphError
-from mstlength.graphs import Graph, bipartite_graph, complete_graph, path_graph
+from mstlength.graphs import Graph, bipartite_graph, complete_graph, cycle_graph, path_graph
 from mstlength.mc import (
     BLOCK_TRIALS,
     McEstimate,
+    _block_weights,
+    _mst_lengths,
+    _simulate_blocks,
     compare,
     mst_length_for_weights,
     simulate,
@@ -89,12 +93,45 @@ def test_edge_order_invariance_per_assignment():
 
 
 def test_simulate_matches_reference_per_trial():
-    from mstlength.mc import _block_weights
+    # Single trials, a whole block, and a range that starts mid-block and
+    # crosses into the next one: every length bit for bit as the reference.
+    seed = 17
+    graphs = [
+        complete_graph(2),
+        path_graph(5),
+        cycle_graph(30),
+        complete_graph(8),
+        bipartite_graph(3, 2),
+    ]
+    ranges = [(0, 1), (0, BLOCK_TRIALS), (BLOCK_TRIALS - 300, BLOCK_TRIALS + 500)]
+    for g in graphs:
+        blocks = [_block_weights(seed, 0, g.m), _block_weights(seed, 1, g.m)]
+        for first, last in ranges:
+            lengths = _simulate_blocks(g.n, g.edges, seed, first // BLOCK_TRIALS, first, last)
+            expected = [
+                mst_length_for_weights(g, blocks[t // BLOCK_TRIALS][t % BLOCK_TRIALS].tolist())
+                for t in range(first, last)
+            ]
+            assert [x.hex() for x in lengths] == [x.hex() for x in expected], (g, first, last)
 
-    g = bipartite_graph(3, 2)
-    est = simulate(g, 1, seed=17)
-    weights = _block_weights(17, 0, g.m)[0].tolist()
-    assert est.mean == mst_length_for_weights(g, weights)
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(4),
+        bipartite_graph(3, 2),
+        cycle_graph(6),
+        Graph(5, ((0, 1), (0, 2), (1, 2), (3, 4))),
+    ],
+    ids=["K4", "K32", "C6", "forest"],
+)
+def test_kernel_matches_reference_under_ties(g):
+    # Weights on multiples of 1/8 tie often; the stable argsort must still
+    # give every row the reference's length, bit for bit.  On a disconnected
+    # graph no row gets n - 1 tree edges and both give the spanning forest.
+    weights = np.random.default_rng(3).integers(0, 8, size=(2000, g.m)) / 8
+    lengths = _mst_lengths(g.n, g.edges, weights)
+    assert lengths.tolist() == [mst_length_for_weights(g, row.tolist()) for row in weights]
 
 
 def test_disconnected_rejected():
