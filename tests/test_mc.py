@@ -92,6 +92,18 @@ def test_edge_order_invariance_per_assignment():
         )
 
 
+def _reference_lengths(g, seed, first, last):
+    """Reference lengths for trials [first, last), from their Philox rows."""
+    blocks = {}
+    lengths = []
+    for t in range(first, last):
+        block = t // BLOCK_TRIALS
+        if block not in blocks:
+            blocks[block] = _block_weights(seed, block, g.m)
+        lengths.append(mst_length_for_weights(g, blocks[block][t % BLOCK_TRIALS].tolist()))
+    return lengths
+
+
 def test_simulate_matches_reference_per_trial():
     # Single trials, a whole block, and a range that starts mid-block and
     # crosses into the next one: every length bit for bit as the reference.
@@ -105,14 +117,19 @@ def test_simulate_matches_reference_per_trial():
     ]
     ranges = [(0, 1), (0, BLOCK_TRIALS), (BLOCK_TRIALS - 300, BLOCK_TRIALS + 500)]
     for g in graphs:
-        blocks = [_block_weights(seed, 0, g.m), _block_weights(seed, 1, g.m)]
         for first, last in ranges:
             lengths = _simulate_blocks(g.n, g.edges, seed, first // BLOCK_TRIALS, first, last)
-            expected = [
-                mst_length_for_weights(g, blocks[t // BLOCK_TRIALS][t % BLOCK_TRIALS].tolist())
-                for t in range(first, last)
-            ]
+            expected = _reference_lengths(g, seed, first, last)
             assert [x.hex() for x in lengths] == [x.hex() for x in expected], (g, first, last)
+
+    # The public entry point: one trial, and a run that ends mid-block.
+    g = bipartite_graph(3, 2)
+    assert simulate(g, 1, seed=seed).mean == _reference_lengths(g, seed, 0, 1)[0]
+    trials = BLOCK_TRIALS + 500
+    expected = _reference_lengths(g, seed, 0, trials)
+    est = simulate(g, trials, seed=seed)
+    assert est.mean == math.fsum(expected) / trials
+    assert (est.min_length, est.max_length) == (min(expected), max(expected))
 
 
 @pytest.mark.parametrize(
