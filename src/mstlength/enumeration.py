@@ -18,19 +18,23 @@ per active vertex, blocks numbered in order of their first vertex, so
 (0, 1, 0, 2) puts the first and third active vertices in one block.  A new
 vertex appends the next unused label; taking an edge between blocks a < b
 sends b to a and shifts the higher labels down by one; retiring a vertex drops
-its slot and renumbers the rest, and counts a completed component when that
-slot was its block's last.  Each transition is one lookup in a map built once
-per sweep and yields the canonical spelling directly, so equal partitions meet
-in one state without a canonicalising pass.
+its slot and renumbers the rest by first occurrence, and counts a completed
+component when that slot was its block's last.
+
+Each step moves every state at once with numpy.  The states are three arrays
+of one row each: the labels as an int8 matrix, the completed counts, and an
+object array of packed big-int counts.  Equal children of a step are found by
+sorting mixed-radix int64 keys of (labels, completed count) and are summed
+with one ``np.add.reduceat``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import islice
-from operator import itemgetter
+
+import numpy as np
 
 from .errors import (
     DisconnectedGraphError,
@@ -45,8 +49,6 @@ DEFAULT_EDGE_CAP = 28
 # State budget for the frontier sweep; beyond this the partition family is too
 # rich to hold in memory and the caller should shrink the graph or the cap.
 MAX_FRONTIER_STATES = 1 << 21
-# Source states between two budget checks inside a sweep step.
-_BUDGET_STRIDE = 1024
 
 
 def min_subgraph_rank(edge_count: int) -> int:
@@ -143,73 +145,77 @@ def _check_cap(m: int, cap: int) -> None:
         )
 
 
-class _LabelMaps:
-    """Relabel tables for the sweep's block labels, built once per sweep.
+# Width proof.  A Graph has at most MAX_EDGES = 63 edges, so at most 126 of its
+# vertices ever enter the frontier: a row of labels has at most 126 slots, a
+# label is at most 125 (the next unused one, one more than the row's largest)
+# and a state's completed count is at most 126.  All of them fit int8.
+_LABEL_DTYPE = np.int8
+# The completed count is the lowest digit of a state's first key word.
+_DONE_RADIX = 128
+# Every key word stays below this bound, so it fits int64.
+_WORD_LIMIT = 1 << 63
 
-    Labels are a canonical restricted-growth string (RGS): blocks are numbered
-    in order of their first slot, so a label is at most one more than every
-    label before it and a partition has exactly one spelling.  Both
-    transitions keep that form without a canonicalising pass: each is one
-    lookup of the labels in a precomputed map of ``width`` entries.
 
-    ``joins[a][b]`` (a != b) sends block max(a, b) to min(a, b) and shifts the
-    higher blocks down by one.  ``moves[c][d]`` (c < d) sends block c to d and
-    shifts blocks c+1..d down by one.
+def _merge_rows(labels: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
+    """Join blocks lu[i] != lv[i] of each canonical row i: the coarser partitions.
+
+    Block hi = max(lu, lv) goes to lo = min(lu, lv), whose first slot comes
+    first, and the blocks above hi shift down by one, so the rows stay canonical.
     """
+    lo = np.minimum(lu, lv)[:, None]
+    hi = np.maximum(lu, lv)[:, None]
+    return np.where(labels == hi, lo, labels - (labels > hi))
 
-    __slots__ = ("joins", "moves")
 
-    def __init__(self, width: int) -> None:
-        slots = range(width)
-        self.joins = [
-            [
-                tuple(min(a, b) if x == max(a, b) else x - 1 if x > max(a, b) else x for x in slots)
-                for b in slots
-            ]
-            for a in slots
-        ]
-        self.moves = [
-            [tuple(d if x == c else x - 1 if c < x <= d else x for x in slots) for d in slots]
-            for c in slots
-        ]
+def _retire_rows(labels: np.ndarray, drops: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the slots ``drops`` from every canonical row.
 
-    def merge(self, labels: tuple[int, ...], lu: int, lv: int) -> tuple[int, ...]:
-        """Join blocks lu != lv: the canonical labels of the coarser partition.
+    The kept slots are renumbered by first occurrence, one pass per column.
+    Returns their canonical labels and, per row, the number of blocks that
+    lost their last slot: components that are now complete.
+    """
+    kept = np.delete(labels, drops, axis=1)
+    rows = np.arange(len(kept))
+    new_label = np.full((len(kept), labels.shape[1]), -1, dtype=_LABEL_DTYPE)
+    blocks = np.zeros(len(kept), dtype=_LABEL_DTYPE)
+    out = np.empty_like(kept)
+    for j in range(kept.shape[1]):
+        old = kept[:, j]
+        new = new_label[rows, old]
+        first = new < 0
+        new[first] = blocks[first]
+        new_label[rows[first], old[first]] = new[first]
+        blocks += first
+        out[:, j] = new
+    return out, labels.max(axis=1, initial=-1) + 1 - blocks
 
-        Two blocks need two slots, so the lookup always returns a tuple.
-        """
-        return itemgetter(*labels)(self.joins[lu][lv])
 
-    def retire(self, labels: tuple[int, ...], slots: list[int]) -> tuple[tuple[int, ...], int]:
-        """Drop ``slots`` (in descending order) from ``labels``.
+@lru_cache(maxsize=None)
+def _key_layout(width: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Slots [start, stop) of each key word and the place value of each slot.
 
-        Returns the canonical labels of the kept slots and the number of blocks
-        that lost their last slot: components that are now complete.
-        """
-        completed = 0
-        for p in slots:
-            c = labels[p]
-            head, tail = labels[:p], labels[p + 1 :]
-            rest = head + tail
-            if c in head:
-                # block c still starts before p: no first slot moves
-                labels = rest
-                continue
-            if c in tail:
-                # block c now starts at its next slot q, after the blocks that
-                # first appear between p and q (c+1..d)
-                d = max(labels[: labels.index(c, p + 1)])
-            else:
-                # p was block c's only slot: every higher block shifts down
-                completed += 1
-                d = max(labels)
-            if d == c:
-                labels = rest
-            elif len(rest) > 1:
-                labels = itemgetter(*rest)(self.moves[c][d])
-            else:
-                labels = (0,)  # one slot left: it is block 0
-        return labels, completed
+    Slot j of a canonical row holds a label of at most j, a digit of radix
+    j + 1; the completed count is the lowest digit of word 0, radix
+    _DONE_RADIX.  A word takes digits while the product of their radices stays
+    at most 2^63, so it is below 2^63 (one word holds 18 slots).
+    """
+    words = []
+    start, place, places = 0, _DONE_RADIX, []
+    for j in range(width):
+        if place * (j + 1) > _WORD_LIMIT:
+            words.append((start, j, np.array(places, dtype=np.int64)))
+            start, place, places = j, 1, []
+        places.append(place)
+        place *= j + 1
+    words.append((start, width, np.array(places, dtype=np.int64)))
+    return tuple(words)
+
+
+def _state_keys(labels: np.ndarray, done: np.ndarray) -> list[np.ndarray]:
+    """Mixed-radix int64 words, equal for two rows exactly when (labels, done) is."""
+    keys = [labels[:, start:stop] @ places for start, stop, places in _key_layout(labels.shape[1])]
+    keys[0] += done
+    return keys
 
 
 def _sweep_edge_order(g: Graph) -> list[int]:
@@ -245,6 +251,24 @@ _DIGIT_BITS = 64
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 
 
+def _combine_counts(
+    vec: np.ndarray, joins: np.ndarray, order: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """One step's count arithmetic: the packed counts of the merged children.
+
+    Every state has a skip child in its own row.  Where the edge joins two
+    blocks (``joins``) the take child, shifted one digit, follows after all
+    skip children; elsewhere both children are one state, counted in place.
+    ``order`` sorts the children by key and ``starts`` opens each run of
+    equal keys.  ``vec`` itself is updated in place.
+    """
+    closes = ~joins
+    loops = vec[closes]
+    vec[closes] = loops + (loops << _DIGIT_BITS)
+    children = np.concatenate((vec, vec[joins] << _DIGIT_BITS))
+    return np.add.reduceat(children[order], starts)
+
+
 def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     n, m = g.n, g.m
     if m == 0:
@@ -258,14 +282,14 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
             first_step.setdefault(w, step)
             last_step[w] = step
     isolated = n - len(last_step)
-    width = max(sum(first_step[w] <= step <= last_step[w] for w in last_step) for step in range(m))
-    maps = _LabelMaps(width)
-    merge, retire = maps.merge, maps.retire
 
     active: list[int] = []
     slot: dict[int, int] = {}
-    # state key: (block labels aligned with `active`, completed components)
-    states: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+    # One state per row: block labels aligned with `active`, completed
+    # components, and the packed counts.
+    labels = np.zeros((1, 0), dtype=_LABEL_DTYPE)
+    done = np.zeros(1, dtype=_LABEL_DTYPE)
+    vec = np.array([1], dtype=object)
 
     for step, e in enumerate(edge_order):
         u, v = g.edges[e]
@@ -275,59 +299,48 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
             if first_step[w] == step:
                 slot[w] = len(active)
                 active.append(w)
-                states = {
-                    (labels + (max(labels, default=-1) + 1,), done): vec
-                    for (labels, done), vec in states.items()
-                }
-        drops = sorted((slot[w] for w in (u, v) if last_step[w] == step), reverse=True)
-        su, sv = slot[u], slot[v]
-
-        next_states: dict[tuple[tuple[int, ...], int], int] = {}
-        get = next_states.get
-        source = iter(states.items())
-        # The states only grow within a step, so checking the budget every
-        # _BUDGET_STRIDE source states refuses exactly the sweeps a check at
-        # the end of the step would, and sooner.
-        for _ in range(0, len(states), _BUDGET_STRIDE):
-            for key, vec in islice(source, _BUDGET_STRIDE):
-                labels, done = key
-                if drops:
-                    kept, completed = retire(labels, drops)
-                    key = (kept, done + completed)
-                lu, lv = labels[su], labels[sv]
-                if lu == lv:
-                    # skipping and taking the edge lead to the same state
-                    next_states[key] = get(key, 0) + vec + (vec << _DIGIT_BITS)
-                    continue
-                next_states[key] = get(key, 0) + vec
-                merged = merge(labels, lu, lv)
-                if drops:
-                    kept, completed = retire(merged, drops)
-                    key = (kept, done + completed)
-                else:
-                    key = (merged, done)
-                next_states[key] = get(key, 0) + (vec << _DIGIT_BITS)
-            if len(next_states) > MAX_FRONTIER_STATES:
-                raise FrontierOverflowError(
-                    f"exact enumeration needs more than its budget of {MAX_FRONTIER_STATES} "
-                    f"partition states (reached at edge {step + 1}/{m}); use a graph with "
-                    "fewer edges, or a Monte Carlo estimate (`mstlength simulate --cap 0`)"
-                )
-        states = next_states
+                fresh = labels.max(axis=1, initial=-1) + 1
+                labels = np.concatenate((labels, fresh[:, None]), axis=1)
+        lu, lv = labels[:, slot[u]], labels[:, slot[v]]
+        joins = lu != lv
+        children = np.concatenate((labels, _merge_rows(labels[joins], lu[joins], lv[joins])))
+        child_done = np.concatenate((done, done[joins]))
+        drops = [slot[w] for w in (u, v) if last_step[w] == step]
         if drops:
+            children, completed = _retire_rows(children, drops)
+            child_done += completed
             active = [w for w in active if last_step[w] != step]
             slot = {w: i for i, w in enumerate(active)}
 
+        keys = _state_keys(children, child_done)
+        order = np.lexsort(keys)
+        opens_run = np.zeros(len(order), dtype=bool)
+        opens_run[0] = True
+        for key in keys:
+            ranked = key[order]
+            opens_run[1:] |= ranked[1:] != ranked[:-1]
+        starts = np.flatnonzero(opens_run)
+        # The distinct states are known before any count is added, so a
+        # refused step does none of its big-int arithmetic.
+        if len(starts) > MAX_FRONTIER_STATES:
+            raise FrontierOverflowError(
+                f"exact enumeration needs more than its budget of {MAX_FRONTIER_STATES} "
+                f"partition states (reached at edge {step + 1}/{m}); use a graph with "
+                "fewer edges, or a Monte Carlo estimate (`mstlength simulate --cap 0`)"
+            )
+        vec = _combine_counts(vec, joins, order, starts)
+        kept = order[starts]
+        labels, done = children[kept], child_done[kept]
+
     counts: dict[tuple[int, int], int] = {}
-    for (labels, done), vec in states.items():
-        components = done + isolated  # all vertices retired: labels is empty
-        rank = n - components
+    for d, packed in zip(done.tolist(), vec):
+        rank = n - (d + isolated)  # all vertices retired: every label is gone
         l = 0
-        while vec:
-            digit = vec & _DIGIT_MASK
+        while packed:
+            digit = packed & _DIGIT_MASK
             if digit:
                 counts[(l, rank)] = counts.get((l, rank), 0) + digit
-            vec >>= _DIGIT_BITS
+            packed >>= _DIGIT_BITS
             l += 1
     return counts
 

@@ -1,7 +1,6 @@
 from fractions import Fraction
-from itertools import islice
-from operator import length_hint
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -10,7 +9,8 @@ from mstlength import enumeration, expectation
 from mstlength.cli import HYPERBOLA_POINTS
 from mstlength.enumeration import (
     _DIGIT_BITS,
-    _LabelMaps,
+    _DONE_RADIX,
+    _LABEL_DTYPE,
     RankTable,
     build_rank_table,
     check_hyperbola_identities,
@@ -20,6 +20,10 @@ from mstlength.enumeration import (
     tutte_integrand,
     tutte_polynomial,
     _frontier_counts,
+    _key_layout,
+    _merge_rows,
+    _retire_rows,
+    _state_keys,
 )
 from mstlength.errors import DisconnectedGraphError, EnumerationCapError, FrontierOverflowError
 from mstlength.exactpoly import BivariatePolynomial, IntPolynomial, binomial
@@ -107,7 +111,6 @@ def test_k10_exact_expectation(monkeypatch):
     assert table.spanning_tree_count() == 10**8  # Cayley: n^(n-2)
 
 
-@pytest.mark.slow
 def test_k11_exact_expectation():
     result = expectation.expected_mst_length(complete_graph(11), cap=55)
     # Matches Gilbert's connectivity recurrence for K_11.
@@ -161,40 +164,140 @@ def test_sweep_invariant_under_vertex_relabelling(data):
 
 
 @st.composite
-def _rgs_labels(draw, max_slots: int = 10) -> tuple[int, ...]:
-    raw = draw(st.lists(st.integers(0, max_slots - 1), min_size=1, max_size=max_slots))
-    return canonical_labels(tuple(raw))
+def _rgs_rows(draw, widths=st.integers(1, 10), max_rows: int = 8) -> list[tuple[int, ...]]:
+    """A stack of canonical rows of one width, as the sweep holds them."""
+    width = draw(widths)
+    raw = st.lists(st.integers(0, width - 1), min_size=width, max_size=width)
+    return [canonical_labels(tuple(r)) for r in draw(st.lists(raw, min_size=1, max_size=max_rows))]
+
+
+def _stack(rows: list[tuple[int, ...]]) -> np.ndarray:
+    return np.array(rows, dtype=_LABEL_DTYPE)
+
+
+def _assert_retire_matches_oracle(rows: list[tuple[int, ...]], drops: list[int]) -> None:
+    kept, completed = _retire_rows(_stack(rows), drops)
+    keep = [i for i in range(len(rows[0])) if i not in drops]
+    assert kept.dtype == _LABEL_DTYPE
+    assert [(tuple(k), c) for k, c in zip(kept.tolist(), completed.tolist())] == [
+        retire_labels(r, keep) for r in rows
+    ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_label_maps_match_oracle(data):
-    labels = data.draw(_rgs_labels())
-    maps = _LabelMaps(10)
-    drops = data.draw(st.sets(st.sampled_from(range(len(labels)))))
-    keep = [i for i in range(len(labels)) if i not in drops]
-    assert maps.retire(labels, sorted(drops, reverse=True)) == retire_labels(labels, keep)
-    blocks = max(labels) + 1
-    if blocks >= 2:
-        lu = data.draw(st.integers(0, blocks - 1))
-        lv = data.draw(st.integers(0, blocks - 1).filter(lambda b: b != lu))
-        assert maps.merge(labels, lu, lv) == merge_labels(labels, lu, lv)
+def test_label_transitions_match_oracle(data):
+    rows = data.draw(_rgs_rows())
+    width = len(rows[0])
+    drops = sorted(data.draw(st.sets(st.sampled_from(range(width)))))
+    _assert_retire_matches_oracle(rows, drops)
+    merging = [r for r in rows if max(r) >= 1]
+    if merging:
+        pairs = [
+            data.draw(st.lists(st.integers(0, max(r)), min_size=2, max_size=2, unique=True))
+            for r in merging
+        ]
+        lu, lv = (np.array(side, dtype=_LABEL_DTYPE) for side in zip(*pairs))
+        merged = _merge_rows(_stack(merging), lu, lv)
+        assert merged.dtype == _LABEL_DTYPE
+        assert [tuple(m) for m in merged.tolist()] == [
+            merge_labels(r, a, b) for r, (a, b) in zip(merging, pairs)
+        ]
+
+
+@pytest.mark.parametrize(
+    "rows, drops",
+    [
+        # block 0's first slot goes: block 1 now starts first
+        ([(0, 1, 0, 2), (0, 1, 1, 0), (0, 0, 1, 0)], [0]),
+        # block 1's first slot goes and its next slot comes after block 2's
+        ([(0, 1, 2, 1, 3), (0, 1, 2, 2, 1)], [1]),
+        # the first slots of two blocks go in one step, one block completes
+        ([(0, 1, 2, 0, 1), (0, 1, 2, 3, 1), (0, 0, 1, 2, 2)], [0, 2]),
+        # every slot retires
+        ([(0, 1, 0), (0, 0, 0), (0, 1, 2)], [0, 1, 2]),
+    ],
+)
+def test_retire_moves_first_slots(rows, drops):
+    _assert_retire_matches_oracle(rows, drops)
 
 
 def test_budget_refusal_stops_inside_the_step(monkeypatch):
-    sources = []
+    merged = []
+    combine = enumeration._combine_counts
 
-    def recording_islice(iterable, stop):
-        sources.append(iterable)
-        return islice(iterable, stop)
+    def recording_combine(vec, joins, order, starts):
+        merged.append(len(starts))
+        return combine(vec, joins, order, starts)
 
-    monkeypatch.setattr(enumeration, "islice", recording_islice)
+    monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
     monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", 210)
-    monkeypatch.setattr(enumeration, "_BUDGET_STRIDE", 8)
-    with pytest.raises(FrontierOverflowError, match="budget of 210 partition states"):
+    with pytest.raises(FrontierOverflowError, match=r"budget of 210 partition states \(reached at edge 16/21\)"):
         _frontier_counts(complete_graph(7))
-    # the refusing step left some of its source states unread
-    assert length_hint(sources[-1]) > 0
+    # steps 1-15 added their counts; the refusing step 16 added none
+    assert len(merged) == 15 and max(merged) <= 210
+
+
+def test_key_words_hold_to_the_edge_limit():
+    # A Graph's edges touch at most 2 * MAX_EDGES vertices: that bounds the
+    # frontier width, every label (below the width) and the completed count.
+    vertices = 2 * MAX_EDGES
+    assert vertices <= np.iinfo(_LABEL_DTYPE).max and vertices < _DONE_RADIX
+    for width in range(vertices + 1):
+        layout = _key_layout(width)
+        assert [j for start, stop, _ in layout for j in range(start, stop)] == list(range(width))
+        for start, stop, places in layout:
+            # slot j holds at most j; the completed count leads word 0
+            top = sum(j * int(p) for j, p in zip(range(start, stop), places))
+            if start == 0:
+                top += _DONE_RADIX - 1
+            assert top < 1 << 63
+    assert len(_key_layout(18)) == 1 and len(_key_layout(19)) == 2
+
+
+def _all_rgs(width: int) -> list[tuple[int, ...]]:
+    rows = [()]
+    for _ in range(width):
+        rows = [r + (x,) for r in rows for x in range(max(r, default=-1) + 2)]
+    return rows
+
+
+def _key_words(states: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
+    """Each state's key words, checked to be int64 and nonnegative."""
+    keys = _state_keys(
+        _stack([labels for labels, _ in states]),
+        np.array([done for _, done in states], dtype=_LABEL_DTYPE),
+    )
+    assert len(keys) == len(_key_layout(len(states[0][0])))
+    assert all(key.dtype == np.int64 and (key >= 0).all() for key in keys)
+    return list(zip(*(key.tolist() for key in keys)))
+
+
+@pytest.mark.parametrize("width", range(8))
+def test_state_keys_tell_every_small_state_apart(width):
+    states = [(r, d) for r in _all_rgs(width) for d in (0, 1, 62, _DONE_RADIX - 1)]
+    assert len(set(_key_words(states))) == len(states)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_state_keys_are_equal_exactly_for_equal_states(data):
+    width = data.draw(st.integers(1, 40))
+    rows = data.draw(_rgs_rows(st.just(width), max_rows=4))
+    states = [(r, data.draw(st.integers(0, 63))) for r in rows]
+    # near-misses: one slot or the count changed, and exact copies
+    for labels, done in list(states):
+        j = data.draw(st.integers(0, width - 1))
+        bumped = labels[:j] + (data.draw(st.integers(0, j)),) + labels[j + 1 :]
+        states.append((canonical_labels(bumped), done))
+        states.append((labels, data.draw(st.integers(0, 63))))
+        states.append((labels, done))
+    # the all-singleton row has the largest digit in every slot
+    states.append((tuple(range(width)), 63))
+    words = _key_words(states)
+    for a, word_a in zip(states, words):
+        for b, word_b in zip(states, words):
+            assert (word_a == word_b) == (a == b)
 
 
 def test_disconnected_integrand_rejected():
