@@ -5,6 +5,12 @@ subset with a cyclic edge structure counted once (not per rotation or
 direction); a "cycle with one chord" is a (cycle, present chord) incidence
 pair; the diamond count (4-cycle plus chord) doubles as the number of 5-edge
 rank-3 spanning subgraphs, which ties this module to the rank table.
+
+``build_census`` reads c3..c6 and the chorded 4- and 5-cycle counts off
+products of the adjacency matrix (Harary-Manvel for c3..c5, the antipodal
+3-path pairs of Alon-Yuster-Zwick for c6), with no cycle enumeration.  The
+walk-based counters (``count_cycles``, ``count_chorded_cycles``, ...) stay as
+the independent oracle and serve cycle lengths above 6.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from .graphs import Graph
 
@@ -180,32 +188,91 @@ class SubgraphCensus:
         return out
 
 
+def _adjacency_counts(g: Graph) -> tuple[dict[int, int], int, int]:
+    """c3..c6, c41 and c51 from products of the adjacency matrix.
+
+    A is the adjacency matrix over the non-isolated vertices only (so a huge
+    vertex range with few edges costs nothing), B = A^2 and C = A^3 count
+    walks, d holds the degrees, and sums run over ordered vertex pairs.
+
+    - c3 = tr C / 6 and c4 = (sum B o B - 2 sum d^2 + 2m) / 8.
+    - c5 = (tr CB - 5 tr C - 5 sum_v (d_v - 2) C_vv) / 10 (Harary-Manvel).
+    - c41 = sum over edges uv of C(B_uv, 2): a diamond is an edge plus two of
+      its common neighbours.
+    - P = C - A o (d_u + d_v - 1), zero on the diagonal, counts the u-x-y-v
+      paths on four distinct vertices.  c51 = sum over edges uv of
+      B_uv (P_uv + 2) - sum_w A_uw A_vw (B_wv + B_uw): a 5-cycle with chord
+      uv is a common neighbour w of u and v plus a u..v 3-path that avoids
+      w, and B_wv - 1 + B_uw - 1 of the P_uv paths pass through w.
+    - c6: two internally disjoint u..v 3-paths close a 6-cycle on which u
+      and v are antipodal, and each 6-cycle has three antipodal pairs, so
+      c6 = 1/3 sum_{u<v} [C(P_uv, 2) - meet_uv], meet counting the path
+      pairs that share an inner vertex.  Write a path as (x, y).  The shared
+      vertex is x = x', y = y', x = y' or y = x'; only the swap (x, y)/(y, x)
+      meets twice.  Counting ordered pairs, meet = (E1 + E1^T + 2 E3 - I) / 2
+      with E1 (x = x') = A(B o B) - (2A + 1) o C + 2A o d_u
+      - A o (d_v - 1)(d_v - 2), E3 (x = y') = (A o B)^2
+      - A o (A(A o B) + (A o B)A) + A o B, and I = 2 W W^T (the swaps), where
+      W[u, e] = 1 when both ends of edge e are neighbours of u.
+
+    Widths: a Graph has at most 63 edges, so at most 126 non-isolated
+    vertices and degrees at most 63.  Then B <= 63, C <= 63^2, P^2 < 2^24,
+    and every other entry is at most 126 * 63^2 < 2^19 (A(B o B), (A o B)^2,
+    C o B); every sum adds at most 126^2 < 2^14 such entries, so no
+    intermediate reaches 2^40, far inside int64.
+    """
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    vertices, index = np.unique(ends, return_inverse=True)
+    ends = index.reshape(-1, 2)
+    size = len(vertices)
+    a = np.zeros((size, size), dtype=np.int64)
+    a[ends[:, 0], ends[:, 1]] = 1
+    a[ends[:, 1], ends[:, 0]] = 1
+    d = a.sum(axis=1)
+    b = a @ a
+    c = b @ a
+    trace_c = int(np.trace(c))
+    ab = a * b
+    p = c - a * (d[:, None] + d[None, :] - 1)
+    np.fill_diagonal(p, 0)
+
+    c3 = trace_c // 6
+    c4 = (int((b * b).sum()) - 2 * int((d * d).sum()) + 2 * g.m) // 8
+    c5 = (int((c * b).sum()) - 5 * trace_c - 5 * int(((d - 2) * np.diagonal(c)).sum())) // 10
+    c41 = int((ab * (b - 1)).sum()) // 4
+    sides = a @ ab + ab @ a
+    c51 = int((a * (b * (p + 2) - sides)).sum()) // 2
+
+    e1 = a @ (b * b) - (2 * a + 1) * c + 2 * a * d[:, None] - a * ((d - 1) * (d - 2))[None, :]
+    e3 = ab @ ab - a * sides + ab
+    w = a[:, ends[:, 0]] * a[:, ends[:, 1]]
+    # sum of meet over u != v, E1 and E1^T having the same sum
+    meet = e1 + e3 - w @ w.T
+    c6 = (int((p * (p - 1)).sum()) // 2 - int(meet.sum() - meet.trace())) // 6
+    return {3: c3, 4: c4, 5: c5, 6: c6}, c41, c51
+
+
 def build_census(g: Graph, max_cycle_len: int = 6) -> SubgraphCensus:
     """Run the full structural census with cycles scanned up to max_cycle_len.
 
-    One cycle walk, to at least length 5, yields the cycle counts and the
-    chorded 4- and 5-cycle counts together.
+    c3..c6 and the chorded 4- and 5-cycle counts come from adjacency-matrix
+    products (``_adjacency_counts``); a 4-cycle has at most two chords, and
+    one with both spans a K_4 that holds three of them, so the chord-plus-edge
+    count is (m - 5) c41 - 6 k4.  Only cycle lengths above 6 walk the cycles.
     """
     limit = min(max_cycle_len, g.n)
-    cycles = {length: 0 for length in range(3, limit + 1)}
-    chorded = {4: 0, 5: 0}
-    chorded_plus_edge = 0
-    for cycle in _walk_cycles(g, min(max(limit, 5), g.n)):
-        length = len(cycle)
-        if length <= limit:
-            cycles[length] += 1
-        if length in chorded:
-            chords = _present_chords(g, cycle)
-            chorded[length] += chords
-            if length == 4:
-                chorded_plus_edge += chords * (g.m - 4 - chords)
+    short, c41, c51 = _adjacency_counts(g)
+    cycles = {length: short[length] for length in range(3, min(limit, 6) + 1)}
+    if limit > 6:
+        cycles.update((length, count) for length, count in count_cycles(g, limit).items() if length > 6)
+    k4 = count_k4(g)
     return SubgraphCensus(
         n=g.n,
         m=g.m,
         max_cycle_len=max_cycle_len,
         cycles=cycles,
-        chorded_cycles=chorded,
-        chorded_plus_edge=chorded_plus_edge,
-        k4=count_k4(g),
+        chorded_cycles={4: c41, 5: c51},
+        chorded_plus_edge=(g.m - 5) * c41 - 6 * k4,
+        k4=k4,
         k32=count_k32(g),
     )

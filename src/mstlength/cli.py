@@ -14,6 +14,7 @@ carries diagnostics, and the exit code is the only pass/fail channel:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -277,7 +278,9 @@ def _add_common(parser: argparse.ArgumentParser, graph_source: bool = True) -> N
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mstlength",
         description="Exact expected minimum-spanning-tree length under uniform edge weights.",

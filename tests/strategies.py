@@ -22,11 +22,14 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 7, max_m: int = 18) -> G
 
 
 @st.composite
-def graphs(draw, max_n: int = 7) -> Graph:
-    """Random simple graph on up to max_n vertices; may be disconnected."""
+def graphs(draw, max_n: int = 7, max_m: int | None = None) -> Graph:
+    """Random simple graph on up to max_n vertices and max_m edges.
+
+    It may be disconnected, have isolated vertices, or have no edges.
+    """
     n = draw(st.integers(1, max_n))
     pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.sets(st.sampled_from(pool))) if pool else set()
+    edges = draw(st.sets(st.sampled_from(pool), max_size=max_m)) if pool else set()
     return Graph(n, tuple(sorted(edges)))
 
 

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from mstlength.census import (
     count_k4,
     diamond_count,
 )
+from mstlength.cli import main
 from mstlength.coefficients import check_rank_cycle_correction
 from mstlength.enumeration import build_rank_table
 from mstlength.expectation import expected_mst_length
@@ -27,7 +30,7 @@ from mstlength.graphs import (
 )
 
 from .oracles import count_cycles_brute, count_k4_brute, count_k32_brute
-from .strategies import connected_graphs
+from .strategies import connected_graphs, graphs
 
 
 def test_k32_cycle_counts():
@@ -101,6 +104,105 @@ def test_build_census_matches_standalone_counts(g, max_cycle_len):
     }
     assert census.chorded_plus_edge == count_chorded_cycles_plus_edge(g)
     assert (census.k4, census.k32) == (count_k4(g), count_k32(g))
+
+
+def _walk_census(g):
+    """c3..c6, c41, c51 and cbar41 by walking every cycle: the oracle."""
+    return (
+        count_cycles(g, min(6, g.n)),
+        {4: count_chorded_cycles(g, 4), 5: count_chorded_cycles(g, 5)},
+        count_chorded_cycles_plus_edge(g),
+    )
+
+
+def _closed_form_census(g):
+    census = build_census(g)
+    return census.cycles, census.chorded_cycles, census.chorded_plus_edge
+
+
+def _grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, tuple(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12, max_m=36))
+@example(Graph(1))
+@example(Graph(2))
+@example(Graph(9))  # m = 0
+@example(Graph(5, ((0, 1), (1, 2), (0, 2))))  # n < 6, isolated vertices
+@example(Graph(12, ((0, 1), (1, 2), (0, 2), (5, 6), (6, 7), (7, 8), (5, 8), (5, 7))))
+def test_closed_forms_match_walk_on_random_graphs(g):
+    assert _closed_form_census(g) == _walk_census(g)
+
+
+FAMILIES = (
+    [complete_graph(n) for n in range(1, 12)]
+    + [bipartite_graph(a, b) for a in range(1, 6) for b in range(a, 7)]
+    + [cycle_graph(n) for n in range(3, 13)]
+    + [path_graph(n) for n in (1, 2, 5, 9)]
+    + [_grid(rows, cols) for rows, cols in ((2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (5, 5))]
+)
+
+
+@pytest.mark.parametrize("g", FAMILIES, ids=lambda g: f"n{g.n}m{g.m}")
+def test_closed_forms_match_walk_on_families(g):
+    assert _closed_form_census(g) == _walk_census(g)
+
+
+def test_census_cycle_keys_follow_vertex_count():
+    assert build_census(complete_graph(4)).cycles == {3: 4, 4: 3}
+    assert build_census(complete_graph(5)).cycles == {3: 10, 4: 15, 5: 12}
+    assert build_census(path_graph(2)).cycles == {}
+    assert build_census(complete_graph(8), 4).cycles == {3: 56, 4: 210}
+
+
+def test_census_past_six_walks_the_longer_cycles():
+    g = Graph(8, complete_graph(7).edges + ((0, 7), (3, 7), (5, 7)))
+    census = build_census(g, 7)
+    assert census.cycles == count_cycles(g, 7)
+    assert census.to_json_dict()["c7"] == census.cycles[7] > 0
+    assert _closed_form_census(g)[1:] == _walk_census(g)[1:]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # 63 edges: K_11 plus 8 edges from a 12th vertex, degrees up to 11
+        Graph(12, complete_graph(11).edges + tuple((v, 11) for v in range(8))),
+        # 63 edges on 126 vertices: the most non-isolated vertices possible
+        Graph(126, tuple((2 * i, 2 * i + 1) for i in range(63))),
+        # one vertex of degree 63 with a triangle hung on it
+        Graph(64, tuple((0, v) for v in range(1, 63)) + ((1, 2),)),
+    ],
+    ids=["k11_plus_8", "matching_126", "star_63"],
+)
+def test_closed_forms_at_the_edge_limit(g):
+    assert g.m == 63
+    assert _closed_form_census(g) == _walk_census(g)
+
+
+def test_census_never_sizes_by_isolated_vertices():
+    # a dense matrix over all 200000 vertices would take 320 GB
+    g = Graph(200_000, ((0, 1), (1, 2), (0, 2)))
+    tracemalloc.start()
+    try:
+        census = build_census(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert census.cycles == {3: 1, 4: 0, 5: 0, 6: 0}
+    assert census.k4 == census.k32 == census.chorded_plus_edge == 0
+    assert peak < 64 * 2**20
+
+
+def test_cli_census_on_a_mostly_isolated_document(tmp_path, capsys):
+    doc = tmp_path / "triangle.txt"
+    doc.write_text("200000 3\n0 1\n1 2\n0 2\n", encoding="ascii")
+    assert main(["census", str(doc)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["n"], payload["m"], payload["c3"], payload["c6"]) == (200_000, 3, 1, 0)
 
 
 def test_long_cycle_census_is_empty():

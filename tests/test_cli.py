@@ -269,3 +269,17 @@ def test_console_module_invocation():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["expectation"]["num"] == "51"
+
+
+def test_parser_is_built_once_and_keeps_no_flags_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = run_cli(capsys, "compute", "--gen", "complete", "5")
+    refused = run_cli(capsys, "compute", "--gen", "complete", "5", "--format", "plain", "--cap", "5")
+    again = run_cli(capsys, "compute", "--gen", "complete", "5")
+    assert first[0] == 0 and json.loads(first[1])["m"] == 10
+    assert refused[0] == 3 and refused[1] == ""
+    assert again == first
+    plain = run_cli(capsys, "census", "--gen", "cycle", "4", "--format", "plain")
+    as_json = run_cli(capsys, "census", "--gen", "cycle", "4")
+    assert "c4 = 1" in plain[1].splitlines()
+    assert json.loads(as_json[1])["c4"] == 1
