@@ -15,9 +15,9 @@ the independent oracle and serve cycle lengths above 6.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -106,13 +106,23 @@ def count_chorded_cycles_plus_edge(g: Graph) -> int:
     return total
 
 
-def _neighbour_masks(g: Graph) -> list[int]:
-    """Bit w of entry v is set when v and w are adjacent."""
-    masks = [0] * g.n
-    for u, v in g.edges:
+def _neighbour_masks(g: Graph) -> tuple[Sequence[tuple[int, int]], list[int]]:
+    """The edges and neighbour bitsets over the vertices that have edges.
+
+    Where some vertex is isolated, the others are renumbered 0..k-1 in
+    increasing order, so every edge keeps u < v and isolated vertices cost
+    nothing; bit w of mask v is set when v and w are adjacent.
+    """
+    ends = set(chain.from_iterable(g.edges))
+    edges = g.edges
+    if len(ends) < g.n:
+        index = {v: i for i, v in enumerate(sorted(ends))}
+        edges = [(index[u], index[v]) for u, v in edges]
+    masks = [0] * len(ends)
+    for u, v in edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return masks
+    return edges, masks
 
 
 def count_k4(g: Graph) -> int:
@@ -121,11 +131,12 @@ def count_k4(g: Graph) -> int:
     Triangle extension over neighbour bitsets: for each edge (u, v) with
     u < v, every common neighbour w > v closes a triangle, and each common
     neighbour x > w of all three completes a K_4.  The ordering u < v < w < x
-    counts each K_4 once.  Cost O(m * n) big-int operations on words of n bits.
+    counts each K_4 once.  Cost O(m * k) big-int operations on words of k
+    bits, k being the number of vertices that have edges.
     """
-    masks = _neighbour_masks(g)
+    edges, masks = _neighbour_masks(g)
     total = 0
-    for u, v in g.edges:
+    for u, v in edges:
         common = (masks[u] & masks[v]) >> (v + 1) << (v + 1)
         while common:
             low = common & -common
@@ -145,7 +156,7 @@ def count_k32(g: Graph) -> int:
     bitsets.  Only vertices of degree >= 3 can be on the 2-side, so the cost
     is O(n_3^2) big-int operations, n_3 being the number of such vertices.
     """
-    masks = [mask for mask in _neighbour_masks(g) if mask.bit_count() >= 3]
+    masks = [mask for mask in _neighbour_masks(g)[1] if mask.bit_count() >= 3]
     return sum(comb((a & b).bit_count(), 3) for a, b in combinations(masks, 2))
 
 

@@ -5,9 +5,12 @@ Writing the integrand as p(t) = -1 + sum a_i t^i, the routes are:
 
 * ``direct``      -- read a_i off the expanded subset-sum polynomial.
 * ``eq2``         -- alternating binomial sum over per-edge-count component
-                     totals (one scalar sum per index).
+                     totals (one scalar sum per index, binomials from one
+                     Pascal table per m, signs by parity).
 * ``rank``        -- p(t) read off T_x along the hyperbola (Steele's formula),
-                     which also leans on the table's binomial row sums.
+                     valid because the table's rows sum to binomials; T comes
+                     from the table's rank generating polynomial by two Taylor
+                     shifts, not from the component sums.
 * nullity route   -- for i >= 3 only: cyclic subgraphs weighted by nullity
                      (edges minus rank), the shortest of the exact sums.
 * ``structural``  -- for i <= 6 only: closed forms in vertex, edge, cycle,
@@ -20,6 +23,7 @@ routes deliberately share nothing beyond the rank table and the census.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .census import SubgraphCensus
 from .enumeration import RankTable, direct_integrand, min_subgraph_rank, tutte_integrand
@@ -48,32 +52,46 @@ class CoefficientVector:
         return IntPolynomial((self.a[0] - 1, *self.a[1:]))
 
 
+@lru_cache(maxsize=None)
+def _pascal_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..m of Pascal's triangle: ``_pascal_rows(m)[k][j]`` is C(k, j)."""
+    rows = [(1,)]
+    for _ in range(m):
+        prev = rows[-1]
+        rows.append((1, *(a + b for a, b in zip(prev, prev[1:])), 1))
+    return tuple(rows)
+
+
+def _alternating_sum(sums: tuple[int, ...], m: int, i: int, start: int) -> int:
+    """sum_{l=start}^{i} (-1)^{i-l} C(m-l, m-i) sums[l].
+
+    C(m-l, m-i) = C(m-l, i-l) comes from the Pascal rows of this m, and the
+    terms are split by the parity of i - l instead of multiplied by a sign.
+    """
+    rows = _pascal_rows(m)
+    plus = sum(rows[m - l][i - l] * sums[l] for l in range(i, start - 1, -2))
+    minus = sum(rows[m - l][i - l] * sums[l] for l in range(i - 1, start - 1, -2))
+    return plus - minus
+
+
 def coeff_from_component_sums(table: RankTable, i: int) -> int:
-    """a_i as the alternating binomial sum over total component counts."""
+    """a_i as the alternating binomial sum over total component counts S_l."""
     if not 0 <= i <= table.m:
         raise ValueError(f"coefficient index {i} out of range 0..{table.m}")
-    m = table.m
-    return sum(
-        (-1) ** (i - l) * binomial(m - l, m - i) * table.component_sum(l)
-        for l in range(i + 1)
-    )
+    return _alternating_sum(table.component_sums, table.m, i, 0)
 
 
 def coeff_from_nullities(table: RankTable, i: int) -> int:
     """a_i for i >= 3 from cyclic subgraphs only, weighted by nullity.
 
     Subgraphs of full rank drop out of the alternating sum, leaving
-    sum over l of (-1)^{i-l} C(m-l, m-i) sum_{r < l} k_r^l (l - r).
+    sum over l of (-1)^{i-l} C(m-l, m-i) N_l with N_l = sum_{r < l} k_r^l (l - r).
     """
     if i < 3:
         raise ValueError(f"nullity route is defined for i >= 3, got {i}")
     if i > table.m:
         raise ValueError(f"coefficient index {i} out of range 0..{table.m}")
-    m = table.m
-    return sum(
-        (-1) ** (i - l) * binomial(m - l, m - i) * table.nullity_weighted_sum(l)
-        for l in range(3, i + 1)
-    )
+    return _alternating_sum(table.nullity_sums, table.m, i, 3)
 
 
 def coeff_structural(g: Graph, census: SubgraphCensus, i: int) -> int:

@@ -102,6 +102,20 @@ class RankTable:
         )
 
     @cached_property
+    def component_sums(self) -> tuple[int, ...]:
+        """S_l = ``component_sum(l)`` for l = 0..m, built on first use."""
+        return tuple(self.component_sum(l) for l in range(self.m + 1))
+
+    @cached_property
+    def nullity_sums(self) -> tuple[int, ...]:
+        """N_l = ``nullity_weighted_sum(l)`` for l = 0..m, built on first use.
+
+        Each N_l is summed over the table's cells on its own, not derived from
+        the S_l, so the nullity route stays independent of ``eq2``.
+        """
+        return tuple(self.nullity_weighted_sum(l) for l in range(self.m + 1))
+
+    @cached_property
     def tutte(self) -> BivariatePolynomial:
         """The Tutte polynomial T(x, y) of the table, built on first use."""
         return tutte_polynomial(self)
@@ -110,6 +124,16 @@ class RankTable:
     def tutte_x(self) -> BivariatePolynomial:
         """T_x, the partial derivative of T in x, built on first use."""
         return self.tutte.partial_x()
+
+    @cached_property
+    def tau(self) -> IntPolynomial:
+        """tau(t): T at (1/t, 1/(1-t)) times t^{n-1} (1-t)^{m-n+1}, built on first use."""
+        return _along_hyperbola(self.tutte, self.n - 1, self.m - self.n + 1)
+
+    @cached_property
+    def rank_integrand(self) -> IntPolynomial:
+        """p_rank(t): T_x at (1/t, 1/(1-t)) times t^{n-2} (1-t)^{m-n+2}, built on first use."""
+        return _along_hyperbola(self.tutte_x, self.n - 2, self.m - self.n + 2)
 
     def spanning_tree_count(self) -> int:
         return self.counts.get((self.n - 1, self.n - 1), 0)
@@ -367,41 +391,55 @@ def _require_connected(table: RankTable) -> None:
 def direct_integrand(table: RankTable) -> IntPolynomial:
     """Integrand polynomial p(t) whose integral over [0,1] is E[L(g)].
 
-    p(t) = sum over subgraphs A of k(A) t^{|A|} (1-t)^{m-|A|}, minus 1,
-    assembled from the rank table by expanding each t^l (1-t)^{m-l} with
-    polynomial multiplication.  Constant term is n-1; degree is at most m.
-    Requires a table built from a connected graph.
+    p(t) = sum over subgraphs A of k(A) t^{|A|} (1-t)^{m-|A|}, minus 1, that
+    is sum_l S_l t^l (1-t)^{m-l} - 1 over the table's component sums S_l,
+    built by Horner's rule in (1-t) on a plain int list.  Constant term is
+    n-1; degree is at most m.  Requires a table built from a connected graph.
     """
     _require_connected(table)
-    one_minus_t = IntPolynomial((1, -1))
-    power = IntPolynomial.one()
-    acc = IntPolynomial.zero()
-    for l in range(table.m, -1, -1):
-        acc = acc + (table.component_sum(l) * power).shift(l)
-        if l:
-            power = power * one_minus_t
-    return acc - IntPolynomial.one()
+    acc = [0] * (table.m + 1)
+    for l, s in enumerate(table.component_sums):
+        # acc (1-t) + S_l t^l; acc has degree below l here, so nothing is cut off
+        acc = [a - b for a, b in zip(acc, [0] + acc)]
+        acc[l] += s
+    acc[0] -= 1
+    return IntPolynomial(acc)
+
+
+def _taylor_shift(rows: list[list[int]]) -> list[list[int]]:
+    """Rows of p(z - 1) from the rows of p(z) = sum_k rows[k] z^k.
+
+    Each row is a coefficient list in a second variable, shifted along: d
+    passes of synthetic division by (z + 1), O(d^2) row subtractions and no
+    binomials.
+    """
+    rows = list(rows)
+    for i in range(len(rows) - 1):
+        for k in range(len(rows) - 2, i - 1, -1):
+            rows[k] = [a - b for a, b in zip(rows[k], rows[k + 1])]
+    return rows
 
 
 def tutte_polynomial(table: RankTable) -> BivariatePolynomial:
-    """Tutte polynomial from the rank table, via the Whitney rank sum.
+    """Tutte polynomial from the rank table by two Taylor shifts.
 
-    T(x, y) = sum over cells of k_r^l (x-1)^{(n-1)-r} (y-1)^{l-r}; requires a
-    table built from a connected graph (so the graph itself has rank n-1).
+    The Whitney rank sum reads T(x, y) = R(x-1, y-1) for the rank generating
+    polynomial R(u, v) = sum over cells of k_r^l u^{(n-1)-r} v^{l-r}.  R is
+    filled as an integer grid, sized by the table's own cells, then shifted by
+    -1 in u and in v.  Requires a table built from a connected graph (so the
+    graph itself has rank n-1).
     """
     _require_connected(table)
-    terms: dict[tuple[int, int], int] = {}
+    top = table.n - 1
+    width = max(top - r for _, r in table.counts) + 1
+    height = max(l - r for l, r in table.counts) + 1
+    grid = [[0] * height for _ in range(width)]  # grid[a][b]: coefficient of u^a v^b
     for (l, r), count in table.counts.items():
-        a = (table.n - 1) - r
-        b = l - r
-        for i in range(a + 1):
-            xa = binomial(a, i) * (-1) ** (a - i)
-            for j in range(b + 1):
-                c = count * xa * binomial(b, j) * (-1) ** (b - j)
-                if c:
-                    key = (i, j)
-                    terms[key] = terms.get(key, 0) + c
-    return BivariatePolynomial(terms)
+        grid[top - r][l - r] += count
+    by_y = _taylor_shift([list(column) for column in zip(*_taylor_shift(grid))])
+    return BivariatePolynomial(
+        {(i, j): c for j, row in enumerate(by_y) for i, c in enumerate(row) if c}
+    )
 
 
 def _along_hyperbola(poly: BivariatePolynomial, nx: int, ny: int) -> IntPolynomial:
@@ -431,27 +469,26 @@ def _along_hyperbola(poly: BivariatePolynomial, nx: int, ny: int) -> IntPolynomi
 def tutte_integrand(table: RankTable) -> IntPolynomial:
     """Integrand p(t) = ((1-t)/t) T_x/T at (x, y) = (1/t, 1/(1-t)) (Steele's formula).
 
-    There T = t^{1-n} (1-t)^{n-1-m}, so p(t) is T_x scaled by t^{n-2} (1-t)^{m-n+2}.
+    There T = t^{1-n} (1-t)^{n-1-m}, so p(t) is T_x scaled by t^{n-2} (1-t)^{m-n+2}:
+    the table's ``rank_integrand``, built once per table.
     """
-    n = table.n
-    return _along_hyperbola(table.tutte_x, n - 2, table.m - n + 2)
+    return table.rank_integrand
 
 
 def _hyperbola_sides(table: RankTable, t: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """tau(t), p_rank(t) and p(t), the sides of the Tutte checks at 0 < t < 1.
 
-    tau is T scaled by t^{n-1} (1-t)^{m-n+1} along the hyperbola and p_rank is
-    ``tutte_integrand``.  p is the component sum sum_A k(A) t^|A| (1-t)^(m-|A|)
-    minus 1, taken in integers over the common denominator b^m of t = a/b.
+    tau and p_rank are the table's ``tau`` and ``rank_integrand``, built once
+    per table.  p is the component sum sum_l S_l t^l (1-t)^(m-l) minus 1,
+    taken in integers over the common denominator b^m of t = a/b.
     """
     t = Fraction(t)
     if not 0 < t < 1:
         raise ValueError(f"t must be strictly between 0 and 1, got {t}")
-    n, m = table.n, table.m
+    m = table.m
     a, b = t.numerator, t.denominator
-    weighted = sum(table.component_sum(l) * a**l * (b - a) ** (m - l) for l in range(m + 1))
-    tau = _along_hyperbola(table.tutte, n - 1, m - n + 1).evaluate(t)
-    return tau, tutte_integrand(table).evaluate(t), Fraction(weighted, b**m) - 1
+    weighted = sum(s * a**l * (b - a) ** (m - l) for l, s in enumerate(table.component_sums))
+    return table.tau.evaluate(t), table.rank_integrand.evaluate(t), Fraction(weighted, b**m) - 1
 
 
 def check_hyperbola_identities(table: RankTable, t: Fraction) -> tuple[bool, bool]:

@@ -129,12 +129,20 @@ class IntPolynomial:
             return self
         return IntPolynomial((0,) * k + self.coefficients)
 
-    def evaluate(self, t) -> Fraction:
-        """Exact Horner evaluation at a rational (or integer) point."""
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
+    def evaluate(self, t: int | Fraction) -> Fraction:
+        """Exact value at a rational (or integer) point t = a/b.
+
+        Horner's rule runs on b^d p(a/b) = sum c_i a^i b^(d-i) in integers,
+        and the one Fraction is built at the end.
+        """
+        if self.is_zero:
+            return Fraction(0)
+        a, b = t.numerator, t.denominator
+        acc, power = self.coefficients[-1], 1
+        for c in reversed(self.coefficients[:-1]):
+            power *= b
+            acc = acc * a + c * power
+        return Fraction(acc, power)
 
     def integrate_unit_interval(self) -> Fraction:
         """Exact integral over [0, 1]: sum of c_i / (i + 1)."""

@@ -6,7 +6,7 @@ the library paths they check.
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 from mstlength.graphs import Graph
 
@@ -205,3 +205,30 @@ def tutte_polynomial_networkx(g: Graph) -> dict[tuple[int, int], int]:
     nx_graph.add_edges_from(g.edges)
     poly = sympy.Poly(nx.tutte_polynomial(nx_graph), x, y)
     return {key: int(c) for key, c in poly.terms()}
+
+
+def tutte_polynomial_whitney(table) -> dict[tuple[int, int], int]:
+    """Tutte polynomial terms {(x_deg, y_deg): coefficient} by the Whitney expansion.
+
+    T(x, y) = sum over cells of k_r^l (x-1)^{(n-1)-r} (y-1)^{l-r}, each power
+    expanded term by term with binomial coefficients and explicit signs.
+    """
+    terms: dict[tuple[int, int], int] = {}
+    for (l, r), count in table.counts.items():
+        a = (table.n - 1) - r
+        b = l - r
+        for i in range(a + 1):
+            xa = comb(a, i) * (-1) ** (a - i)
+            for j in range(b + 1):
+                c = count * xa * comb(b, j) * (-1) ** (b - j)
+                if c:
+                    terms[(i, j)] = terms.get((i, j), 0) + c
+    return {key: c for key, c in terms.items() if c}
+
+
+def evaluate_by_fractions(coefficients, t) -> Fraction:
+    """sum c_i t^i by Horner's rule with a Fraction accumulator."""
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * t + c
+    return acc

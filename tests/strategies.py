@@ -1,6 +1,7 @@
 """Hypothesis strategies for graphs and rational sample points."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import hypothesis.strategies as st
 
@@ -19,6 +20,31 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 7, max_m: int = 18) -> G
     if budget > 0:
         edges |= draw(st.sets(st.sampled_from(pool), max_size=budget))
     return Graph(n, tuple(sorted(edges)))
+
+
+@st.composite
+def block_graphs(draw, max_m: int = 40) -> Graph:
+    """Connected graph glued from blocks at cut vertices, up to max_m edges.
+
+    Each block is a bridge, a cycle C_3..C_7 or a clique K_3..K_5 hung on one
+    vertex of the graph so far: all bridges make a tree, one bridge is K_2.
+    The blocks keep the sweep's frontier narrow at 40 edges.
+    """
+    n, edges = 1, []
+    for _ in range(draw(st.integers(1, 15))):
+        kind = draw(st.sampled_from(["bridge", "cycle", "clique"]))
+        size = 2 if kind == "bridge" else draw(st.integers(3, 7 if kind == "cycle" else 5))
+        anchor = draw(st.integers(0, n - 1))
+        ring = [anchor, *range(n, n + size - 1)]
+        if kind == "cycle":
+            block = [(ring[i], ring[(i + 1) % size]) for i in range(size)]
+        else:
+            block = list(combinations(ring, 2))
+        if len(edges) + len(block) > max_m:
+            break
+        n += size - 1
+        edges += block
+    return Graph(n, tuple(edges))
 
 
 @st.composite

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,22 @@ def test_census_never_sizes_by_isolated_vertices():
     assert census.cycles == {3: 1, 4: 0, 5: 0, 6: 0}
     assert census.k4 == census.k32 == census.chorded_plus_edge == 0
     assert peak < 64 * 2**20
+
+
+def test_k4_and_k32_scans_never_size_by_isolated_vertices():
+    # neighbour masks over all 200000 vertices would be a list of 200000 ints
+    g = Graph(200_000, ((0, 1), (1, 2), (0, 2)))
+    tracemalloc.start()
+    try:
+        k32, k4 = count_k32(g), count_k4(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k32 == 0 and k4 == 0
+    assert peak < 2**20
+    # the renumbering keeps vertex order, so far-apart labels still count
+    far = Graph(200_000, tuple(combinations((7, 1000, 99_999, 199_999, 5), 2)))
+    assert count_k4(far) == 5 and count_k32(far) == 10
 
 
 def test_cli_census_on_a_mostly_isolated_document(tmp_path, capsys):

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from mstlength import enumeration, expectation
+from mstlength.census import build_census
 from mstlength.cli import HYPERBOLA_POINTS
+from mstlength.coefficients import all_routes, route_failures
 from mstlength.enumeration import (
     _DIGIT_BITS,
     _DONE_RADIX,
@@ -44,8 +46,9 @@ from .oracles import (
     retire_labels,
     spanning_tree_count_kirchhoff,
     tutte_polynomial_networkx,
+    tutte_polynomial_whitney,
 )
-from .strategies import connected_graphs
+from .strategies import block_graphs, connected_graphs
 
 
 def test_min_subgraph_rank_values():
@@ -368,9 +371,32 @@ def test_tutte_matches_networkx_random(g):
     assert tutte_polynomial(build_rank_table(g)).terms == tutte_polynomial_networkx(g)
 
 
+@settings(max_examples=40, deadline=None)
+@given(block_graphs())
+@example(complete_graph(2))
+@example(path_graph(12))
+@example(Graph(13, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6), (6, 7),
+                    (7, 8), (7, 9), (7, 10), (8, 9), (8, 10), (9, 10), (10, 11), (11, 12))))
+def test_tutte_matches_whitney_expansion(g):
+    table = build_rank_table(g, cap=40)
+    assert tutte_polynomial(table).terms == tutte_polynomial_whitney(table)
+
+
+def test_tutte_matches_whitney_on_a_cell_past_the_nullity():
+    # One count of the tree P_5 moved from (3, 3) to (3, 2): the y-degree 1
+    # passes the nullity 0, and the grid is sized by the cells, not the graph.
+    table = build_rank_table(path_graph(5))
+    moved = RankTable(5, 4, {**table.counts, (3, 3): table.counts[(3, 3)] - 1, (3, 2): 1})
+    tutte = tutte_polynomial(moved)
+    assert tutte.terms == tutte_polynomial_whitney(moved)
+    assert max(j for _, j in tutte.terms) == 1
+
+
 def test_rank_table_builds_tutte_once(monkeypatch):
-    built, derived = [], []
+    built, derived, along = [], [], []
     partial_x = BivariatePolynomial.partial_x
+    along_hyperbola = enumeration._along_hyperbola
+    component_sum = RankTable.component_sum
 
     def counting(table):
         built.append(table)
@@ -380,20 +406,41 @@ def test_rank_table_builds_tutte_once(monkeypatch):
         derived.append(poly)
         return partial_x(poly)
 
+    def counting_along(poly, nx, ny):
+        along.append(poly)
+        return along_hyperbola(poly, nx, ny)
+
     def refuse(*args, **kwargs):
         raise AssertionError("p(t) rebuilt at a verify point")
 
     monkeypatch.setattr(enumeration, "tutte_polynomial", counting)
     monkeypatch.setattr(BivariatePolynomial, "partial_x", counting_partial_x)
+    monkeypatch.setattr(enumeration, "_along_hyperbola", counting_along)
     monkeypatch.setattr(enumeration, "direct_integrand", refuse)
-    g = bipartite_graph(3, 2)
+    for g in (bipartite_graph(3, 2), cycle_graph(5)):
+        del built[:], derived[:], along[:]
+        table = build_rank_table(g)
+        for t in HYPERBOLA_POINTS:
+            assert check_hyperbola_identities(table, t) == (True, True)
+            assert check_integrand_ratio(table, t)
+        tutte_integrand(table)
+        assert built == [table]
+        assert derived == [table.tutte]
+        assert along == [table.tutte, table.tutte_x]
+
+    # every route and the agreement check read the per-row sums once per row
+    monkeypatch.undo()
+    rows = []
+
+    def counting_component_sum(table, edge_count):
+        rows.append(edge_count)
+        return component_sum(table, edge_count)
+
+    monkeypatch.setattr(RankTable, "component_sum", counting_component_sum)
+    g = complete_graph(5)
     table = build_rank_table(g)
-    for t in (Fraction(1, 3), Fraction(2, 5)):
-        assert check_hyperbola_identities(table, t) == (True, True)
-        assert check_integrand_ratio(table, t)
-    tutte_integrand(table)
-    assert built == [table]
-    assert derived == [table.tutte]
+    assert not route_failures(table, all_routes(g, table, build_census(g)))
+    assert len(rows) <= g.m + 1
 
 
 def test_tutte_integrand_matches_direct():
@@ -457,6 +504,7 @@ def test_tutte_checks_match_fraction_oracle_on_corrupted_tables(g, data):
     bumped = RankTable(g.n, g.m, {**table.counts, cell: table.counts[cell] + delta})
     verdicts = _tutte_verdicts(bumped, t)
     assert verdicts == hyperbola_verdicts_by_fractions(bumped, t)
+    assert bumped.tutte.terms == tutte_polynomial_whitney(bumped)
     assert not verdicts[0]  # the bump changes a row sum, and tau(t) is their weighted sum
     # a pure y^j term changes T but not T_x: only the partial form still holds
     shifted = RankTable(g.n, g.m, table.counts)

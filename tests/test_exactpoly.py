@@ -12,6 +12,8 @@ from mstlength.exactpoly import (
     decimal_string,
 )
 
+from .oracles import evaluate_by_fractions
+
 small_polys = st.builds(
     IntPolynomial, st.lists(st.integers(-50, 50), max_size=6)
 )
@@ -25,6 +27,36 @@ def test_poly_eval_k32_integrand_at_one():
 def test_poly_eval_zero_and_rational_point():
     assert IntPolynomial.zero().evaluate(Fraction(3, 7)) == 0
     assert IntPolynomial([1, -1]).evaluate(Fraction(1, 3)) == Fraction(2, 3)
+
+
+wide_polys = st.builds(
+    IntPolynomial, st.lists(st.integers(-(2**70), 2**70), max_size=12)
+)
+sample_points = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1)]),
+    st.integers(-(10**6), 10**6),
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+
+
+@given(wide_polys, sample_points)
+def test_evaluate_matches_fraction_horner(p, t):
+    value = p.evaluate(t)
+    assert isinstance(value, Fraction)
+    assert value == evaluate_by_fractions(p.coefficients, t)
+
+
+@given(sample_points)
+def test_evaluate_zero_polynomial(t):
+    value = IntPolynomial.zero().evaluate(t)
+    assert isinstance(value, Fraction) and value == 0
+
+
+def test_evaluate_at_a_denominator_of_a_million():
+    t = Fraction(-999_999, 10**6)
+    p = IntPolynomial([3, 0, -2**65, 7])
+    assert p.evaluate(t) == 3 - 2**65 * t**2 + 7 * t**3
 
 
 def test_integrate_unit_interval_examples():
