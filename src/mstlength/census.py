@@ -6,19 +6,18 @@ direction); a "cycle with one chord" is a (cycle, present chord) incidence
 pair; the diamond count (4-cycle plus chord) doubles as the number of 5-edge
 rank-3 spanning subgraphs, which ties this module to the rank table.
 
-``build_census`` reads c3..c6 and the chorded 4- and 5-cycle counts off
-products of the adjacency matrix (Harary-Manvel for c3..c5, the antipodal
-3-path pairs of Alon-Yuster-Zwick for c6), with no cycle enumeration.  The
-walk-based counters (``count_cycles``, ``count_chorded_cycles``, ...) stay as
-the independent oracle and serve cycle lengths above 6.
+``build_census`` reads c3..c6, the chorded 4- and 5-cycle counts and the K_4
+and K_{3,2} counts off one set of products of the adjacency matrix
+(Harary-Manvel for c3..c5, the antipodal 3-path pairs of Alon-Yuster-Zwick
+for c6, common-neighbour counts for the rest), with no cycle enumeration.
+The walk-based counters (``count_cycles``, ``count_chorded_cycles``, ...)
+stay as the independent oracle and serve cycle lengths above 6.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations
-from math import comb
 
 import numpy as np
 
@@ -106,44 +105,13 @@ def count_chorded_cycles_plus_edge(g: Graph) -> int:
     return total
 
 
-def _neighbour_masks(g: Graph) -> tuple[Sequence[tuple[int, int]], list[int]]:
-    """The edges and neighbour bitsets over the vertices that have edges.
-
-    Where some vertex is isolated, the others are renumbered 0..k-1 in
-    increasing order, so every edge keeps u < v and isolated vertices cost
-    nothing; bit w of mask v is set when v and w are adjacent.
-    """
-    ends = set(chain.from_iterable(g.edges))
-    edges = g.edges
-    if len(ends) < g.n:
-        index = {v: i for i, v in enumerate(sorted(ends))}
-        edges = [(index[u], index[v]) for u, v in edges]
-    masks = [0] * len(ends)
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return edges, masks
-
-
 def count_k4(g: Graph) -> int:
     """Number of 4-vertex subsets inducing all six edges.
 
-    Triangle extension over neighbour bitsets: for each edge (u, v) with
-    u < v, every common neighbour w > v closes a triangle, and each common
-    neighbour x > w of all three completes a K_4.  The ordering u < v < w < x
-    counts each K_4 once.  Cost O(m * k) big-int operations on words of k
-    bits, k being the number of vertices that have edges.
+    Read off the census's adjacency products (``_adjacency_counts``): each
+    K_4 is an edge uv plus an edge inside the common neighbourhood of u and v.
     """
-    edges, masks = _neighbour_masks(g)
-    total = 0
-    for u, v in edges:
-        common = (masks[u] & masks[v]) >> (v + 1) << (v + 1)
-        while common:
-            low = common & -common
-            common ^= low
-            w = low.bit_length() - 1
-            total += (common & masks[w]).bit_count()
-    return total
+    return build_census(g).k4
 
 
 def count_k32(g: Graph) -> int:
@@ -152,12 +120,10 @@ def count_k32(g: Graph) -> int:
     Counted as (3-set, 2-set) pairs of disjoint vertex sets with all six cross
     edges present; the part sizes differ, so no pair is counted twice.  Each
     2-set {u, v} pairs with any 3 of its common neighbours, so the count is
-    the sum over vertex pairs of C(|N(u) & N(v)|, 3), taken over neighbour
-    bitsets.  Only vertices of degree >= 3 can be on the 2-side, so the cost
-    is O(n_3^2) big-int operations, n_3 being the number of such vertices.
+    the sum over vertex pairs of C(B_uv, 3), read off the census's adjacency
+    products (``_adjacency_counts``).
     """
-    masks = [mask for mask in _neighbour_masks(g)[1] if mask.bit_count() >= 3]
-    return sum(comb((a & b).bit_count(), 3) for a, b in combinations(masks, 2))
+    return build_census(g).k32
 
 
 def diamond_count(g: Graph) -> int:
@@ -199,8 +165,8 @@ class SubgraphCensus:
         return out
 
 
-def _adjacency_counts(g: Graph) -> tuple[dict[int, int], int, int]:
-    """c3..c6, c41 and c51 from products of the adjacency matrix.
+def _adjacency_counts(g: Graph) -> tuple[dict[int, int], int, int, int, int]:
+    """c3..c6, c41, c51, k4 and k32 from products of the adjacency matrix.
 
     A is the adjacency matrix over the non-isolated vertices only (so a huge
     vertex range with few edges costs nothing), B = A^2 and C = A^3 count
@@ -225,12 +191,18 @@ def _adjacency_counts(g: Graph) -> tuple[dict[int, int], int, int]:
       - A o (d_v - 1)(d_v - 2), E3 (x = y') = (A o B)^2
       - A o (A(A o B) + (A o B)A) + A o B, and I = 2 W W^T (the swaps), where
       W[u, e] = 1 when both ends of edge e are neighbours of u.
+    - k4 = sum A o W W^T / 12: (W W^T)_uv counts the edges inside the common
+      neighbourhood of u and v, each closing a K_4 with the edge uv, and a
+      K_4 is reached from each of its 12 ordered edges once.
+    - k32 = sum_{u != v} C(B_uv, 3) / 2: a 2-set and any 3 of its common
+      neighbours.
 
     Widths: a Graph has at most 63 edges, so at most 126 non-isolated
     vertices and degrees at most 63.  Then B <= 63, C <= 63^2, P^2 < 2^24,
-    and every other entry is at most 126 * 63^2 < 2^19 (A(B o B), (A o B)^2,
-    C o B); every sum adds at most 126^2 < 2^14 such entries, so no
-    intermediate reaches 2^40, far inside int64.
+    W W^T <= 63, B(B - 1)(B - 2) < 63^3 < 2^18, and every other entry is at
+    most 126 * 63^2 < 2^19 (A(B o B), (A o B)^2, C o B); every sum adds at
+    most 126^2 < 2^14 such entries, so no intermediate reaches 2^40, far
+    inside int64.
     """
     ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     vertices, index = np.unique(ends, return_inverse=True)
@@ -257,26 +229,30 @@ def _adjacency_counts(g: Graph) -> tuple[dict[int, int], int, int]:
     e1 = a @ (b * b) - (2 * a + 1) * c + 2 * a * d[:, None] - a * ((d - 1) * (d - 2))[None, :]
     e3 = ab @ ab - a * sides + ab
     w = a[:, ends[:, 0]] * a[:, ends[:, 1]]
+    ww = w @ w.T
     # sum of meet over u != v, E1 and E1^T having the same sum
-    meet = e1 + e3 - w @ w.T
+    meet = e1 + e3 - ww
     c6 = (int((p * (p - 1)).sum()) // 2 - int(meet.sum() - meet.trace())) // 6
-    return {3: c3, 4: c4, 5: c5, 6: c6}, c41, c51
+    k4 = int((a * ww).sum()) // 12
+    triples = b * (b - 1) * (b - 2)
+    k32 = int(triples.sum() - triples.trace()) // 12
+    return {3: c3, 4: c4, 5: c5, 6: c6}, c41, c51, k4, k32
 
 
 def build_census(g: Graph, max_cycle_len: int = 6) -> SubgraphCensus:
     """Run the full structural census with cycles scanned up to max_cycle_len.
 
-    c3..c6 and the chorded 4- and 5-cycle counts come from adjacency-matrix
-    products (``_adjacency_counts``); a 4-cycle has at most two chords, and
-    one with both spans a K_4 that holds three of them, so the chord-plus-edge
-    count is (m - 5) c41 - 6 k4.  Only cycle lengths above 6 walk the cycles.
+    c3..c6, the chorded 4- and 5-cycle counts, k4 and k32 all come from one
+    pass of adjacency-matrix products (``_adjacency_counts``); a 4-cycle has
+    at most two chords, and one with both spans a K_4 that holds three of
+    them, so the chord-plus-edge count is (m - 5) c41 - 6 k4.  Only cycle
+    lengths above 6 walk the cycles.
     """
     limit = min(max_cycle_len, g.n)
-    short, c41, c51 = _adjacency_counts(g)
+    short, c41, c51, k4, k32 = _adjacency_counts(g)
     cycles = {length: short[length] for length in range(3, min(limit, 6) + 1)}
     if limit > 6:
         cycles.update((length, count) for length, count in count_cycles(g, limit).items() if length > 6)
-    k4 = count_k4(g)
     return SubgraphCensus(
         n=g.n,
         m=g.m,
@@ -285,5 +261,5 @@ def build_census(g: Graph, max_cycle_len: int = 6) -> SubgraphCensus:
         chorded_cycles={4: c41, 5: c51},
         chorded_plus_edge=(g.m - 5) * c41 - 6 * k4,
         k4=k4,
-        k32=count_k32(g),
+        k32=k32,
     )

@@ -28,7 +28,7 @@ from functools import lru_cache
 from .census import SubgraphCensus
 from .enumeration import RankTable, direct_integrand, min_subgraph_rank, tutte_integrand
 from .errors import RouteDisagreementError
-from .exactpoly import IntPolynomial, binomial
+from .exactpoly import IntPolynomial
 from .graphs import Graph
 
 ROUTE_DIRECT = "direct"
@@ -63,11 +63,13 @@ def _pascal_rows(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _alternating_sum(sums: tuple[int, ...], m: int, i: int, start: int) -> int:
-    """sum_{l=start}^{i} (-1)^{i-l} C(m-l, m-i) sums[l].
+    """sum_{l=start}^{i} (-1)^{i-l} C(m-l, m-i) sums[l], which is 0 for i > m.
 
     C(m-l, m-i) = C(m-l, i-l) comes from the Pascal rows of this m, and the
     terms are split by the parity of i - l instead of multiplied by a sign.
     """
+    if i > m:
+        return 0
     rows = _pascal_rows(m)
     plus = sum(rows[m - l][i - l] * sums[l] for l in range(i, start - 1, -2))
     minus = sum(rows[m - l][i - l] * sums[l] for l in range(i - 1, start - 1, -2))
@@ -131,6 +133,25 @@ def correction_terms(census: SubgraphCensus) -> dict[int, int]:
     }
 
 
+def _cycle_sums(
+    census: SubgraphCensus, m: int, top: int, *, all_cycles: bool = False
+) -> tuple[int, ...]:
+    """X_l = sum_j c_j C(m-j, l-j) for l = 0..top: cycles plus free edges.
+
+    The inner sum starts at the minimum rank for l edges, or at 3 when
+    ``all_cycles`` is set; X_l is 0 for l > m, where no l edges exist.
+    """
+    rows = _pascal_rows(m)
+    sums = tuple(
+        sum(
+            census.cycle_count(j) * rows[m - j][l - j]
+            for j in range(3 if all_cycles else min_subgraph_rank(l), l + 1)
+        )
+        for l in range(min(top, m) + 1)
+    )
+    return sums + (0,) * (top - m)
+
+
 def check_rank_cycle_correction(table: RankTable, census: SubgraphCensus, l: int) -> bool:
     """Exact check that the nullity-weighted rank-table row matches the census.
 
@@ -139,13 +160,8 @@ def check_rank_cycle_correction(table: RankTable, census: SubgraphCensus, l: int
     """
     if not 3 <= l <= 6:
         raise ValueError(f"correction identity is stated for l = 3..6, got {l}")
-    m = table.m
-    lhs = table.nullity_weighted_sum(l)
-    rhs = sum(
-        census.cycle_count(j) * binomial(m - j, m - l)
-        for j in range(min_subgraph_rank(l), l + 1)
-    ) - correction_terms(census)[l]
-    return lhs == rhs
+    lhs = table.nullity_sums[l] if l <= table.m else 0
+    return lhs == _cycle_sums(census, table.m, l)[l] - correction_terms(census)[l]
 
 
 def cycle_transform_value(
@@ -171,15 +187,7 @@ def cycle_transform_value(
             f"cycle transform at i = {i} needs cycle counts up to {i}, "
             f"census scanned up to {census.max_cycle_len}"
         )
-    total = 0
-    for l in range(3, i + 1):
-        start = 3 if all_cycles else min_subgraph_rank(l)
-        inner = sum(
-            census.cycle_count(j) * binomial(m - j, m - l)
-            for j in range(start, l + 1)
-        )
-        total += (-1) ** (i - l) * binomial(m - l, m - i) * inner
-    return total
+    return _alternating_sum(_cycle_sums(census, m, i, all_cycles=all_cycles), m, i, 3)
 
 
 def check_cycle_identities(
@@ -199,8 +207,8 @@ def check_cycle_identities(
     m = table.m
     transform_ok = cycle_transform_value(census, m, i) == census.cycle_count(i)
     d = correction_terms(census)
-    corrected = census.cycle_count(i) - sum(
-        (-1) ** (i - l) * binomial(m - l, m - i) * d[l] for l in range(3, i + 1)
+    corrected = census.cycle_count(i) - _alternating_sum(
+        tuple(d.get(l, 0) for l in range(i + 1)), m, i, 3
     )
     return transform_ok and corrected == (coeff_from_nullities(table, i) if i <= m else 0)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -54,17 +55,15 @@ MAX_FRONTIER_STATES = 1 << 21
 def min_subgraph_rank(edge_count: int) -> int:
     """Smallest possible rank of a subgraph with the given number of edges.
 
-    This is the largest r with C(r, 2) < l (l >= 1): packing l edges as densely
-    as possible onto few vertices; 0 for the empty subgraph.
+    This is the r with C(r, 2) < l <= C(r + 1, 2) (l >= 1): packing l edges as
+    densely as possible onto r + 1 vertices; 0 for the empty subgraph.  The
+    bound solves r(r + 1) / 2 >= l for the smallest r.
     """
     if edge_count < 0:
         raise ValueError("edge count must be nonnegative")
     if edge_count == 0:
         return 0
-    r = 1
-    while binomial(r + 1, 2) < edge_count:
-        r += 1
-    return r
+    return (1 + isqrt(8 * edge_count - 7)) // 2
 
 
 @dataclass(frozen=True, eq=True)
@@ -140,16 +139,18 @@ class RankTable:
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
+        floors = [min_subgraph_rank(l) for l in range(self.m + 1)]
         for (l, r), c in self.counts.items():
             if c < 0:
                 raise ValueError(f"negative count at (l={l}, r={r})")
             if not 0 <= l <= self.m:
                 raise ValueError(f"edge count {l} out of range")
-            if r > min(l, self.n - 1) or r < min_subgraph_rank(l):
+            if r > min(l, self.n - 1) or r < floors[l]:
                 raise ValueError(f"rank {r} impossible for {l} edges")
         for l in range(self.m + 1):
-            if self.row_sum(l) != binomial(self.m, l):
-                raise ValueError(f"row {l} sums to {self.row_sum(l)}, expected C({self.m},{l})")
+            total = self.row_sum(l)
+            if total != binomial(self.m, l):
+                raise ValueError(f"row {l} sums to {total}, expected C({self.m},{l})")
         # No subgraph has more independent cycles than the whole edge set.
         (full_rank,) = (r for r, c in self._rows[self.m].items() if c)
         for (l, r), c in self.counts.items():

@@ -5,6 +5,8 @@ vanishes from a traced run when none of the harness's tracer targets resolves
 in the package, so renaming a traced function shows up here as a missing name.
 """
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -32,3 +34,20 @@ def test_benchmark_run_prints_every_declared_metric(tmp_path, workload, trace):
     assert result["correct"] is True and result["failed"] == 0
     declared = {m["name"] for m in DECLARED["per_layer" if trace else "end_to_end"]}
     assert declared <= set(result["metrics"])
+
+
+def test_every_tracer_target_resolves_in_the_package():
+    # A metric with two targets (census.chorded_s) survives in a traced run
+    # while one of them is gone, so check each target the way install() does.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, attr in tracer.TARGETS:
+        module = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        owner_name, _, name = attr.rpartition(".")
+        owner = getattr(module, owner_name, None) if owner_name else module
+        found = vars(owner).get(name) if isinstance(owner, type) else getattr(owner, name, None)
+        if not callable(found):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

@@ -104,7 +104,7 @@ def test_build_census_matches_standalone_counts(g, max_cycle_len):
         5: count_chorded_cycles(g, 5),
     }
     assert census.chorded_plus_edge == count_chorded_cycles_plus_edge(g)
-    assert (census.k4, census.k32) == (count_k4(g), count_k32(g))
+    assert (census.k4, census.k32) == (count_k4_brute(g), count_k32_brute(g))
 
 
 def _walk_census(g):
@@ -182,6 +182,15 @@ def test_census_past_six_walks_the_longer_cycles():
 def test_closed_forms_at_the_edge_limit(g):
     assert g.m == 63
     assert _closed_form_census(g) == _walk_census(g)
+    census = build_census(g)
+    if g.n == 12:
+        # K_11's own K_4's, and the 12th vertex with any 3 of its 8 neighbours
+        assert census.k4 == count_k4_brute(g) == math.comb(11, 4) + math.comb(8, 3)
+        assert census.k32 == count_k32_brute(g)
+    else:
+        # the brute-force scans are too slow here; neither graph has a K_4,
+        # nor two vertices with three common neighbours
+        assert census.k4 == census.k32 == 0
 
 
 def test_census_never_sizes_by_isolated_vertices():
@@ -199,7 +208,7 @@ def test_census_never_sizes_by_isolated_vertices():
 
 
 def test_k4_and_k32_scans_never_size_by_isolated_vertices():
-    # neighbour masks over all 200000 vertices would be a list of 200000 ints
+    # a dense matrix over all 200000 vertices would take 320 GB
     g = Graph(200_000, ((0, 1), (1, 2), (0, 2)))
     tracemalloc.start()
     try:

@@ -60,6 +60,10 @@ def test_min_subgraph_rank_values():
     # boundary: exactly a complete graph's edge count
     assert min_subgraph_rank(3) == 2
     assert min_subgraph_rank(6) == 3
+    # every edge count a subgraph of a 64-vertex complete graph can have
+    for l in range(1, binomial(64, 2) + 1):
+        r = min_subgraph_rank(l)
+        assert binomial(r, 2) < l <= binomial(r + 1, 2), l
 
 
 def test_rank_table_k3():
