@@ -8,7 +8,8 @@ carries diagnostics, and the exit code is the only pass/fail channel:
     1  statistical comparison failed (simulate)
     2  input error (bad document, bad arguments, disconnected graph)
     3  enumeration cap or state-budget refusal
-    4  internal identity or route disagreement (a bug, never an input problem)
+    4  internal identity, route disagreement or corrupt rank table (a bug,
+       never an input problem)
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .enumeration import (
     check_integrand_ratio,
 )
 from .errors import (
+    CorruptRankTableError,
     DisconnectedGraphError,
     EnumerationCapError,
     FrontierOverflowError,
@@ -339,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_INPUT, str(exc))
     except (EnumerationCapError, FrontierOverflowError) as exc:
         return _fail(EXIT_CAP, str(exc))
-    except RouteDisagreementError as exc:
+    except (CorruptRankTableError, RouteDisagreementError) as exc:
         return _fail(EXIT_INTERNAL, str(exc))
     except MstLengthError as exc:
         return _fail(EXIT_INPUT, str(exc))

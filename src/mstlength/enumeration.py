@@ -13,13 +13,16 @@ counts are exact integers; the cost grows with the number of partition states
 on the frontier, not with 2^m, which makes dense graphs such as the 28-edge
 complete graph on 8 vertices cheap on a single core.
 
-A partition is spelled as a canonical restricted-growth string (RGS): one label
-per active vertex, blocks numbered in order of their first vertex, so
-(0, 1, 0, 2) puts the first and third active vertices in one block.  A new
-vertex appends the next unused label; taking an edge between blocks a < b
-sends b to a and shifts the higher labels down by one; retiring a vertex drops
-its slot and renumbers the rest by first occurrence, and counts a completed
-component when that slot was its block's last.
+A partition is spelled by first-slot names, as in frontier-based search
+(Kawahara-Inoue-Iwashita-Minato, 2017): one label per active vertex, the
+index of the first slot of its block, so (0, 1, 0, 3) puts the first and third
+active vertices in one block and the second and fourth in blocks of their own.
+Each partition has exactly one such spelling, and slot j's name is at most j.
+A new vertex takes its own slot index; taking an edge between blocks a < b
+renames b to a; retiring a vertex drops its slot, renames its block by the
+block's next slot if the dropped slot was the first, and lowers the names
+above the dropped slot by one.  A dropped first slot with no later slot in its
+block closes a completed component.  No step renumbers the whole row.
 
 Each step moves every state at once with numpy.  The states are three arrays
 of one row each: the labels as an int8 matrix, the completed counts, and an
@@ -38,6 +41,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import (
+    CorruptRankTableError,
     DisconnectedGraphError,
     EnumerationCapError,
     FrontierOverflowError,
@@ -92,14 +96,6 @@ class RankTable:
         """Total component count over all subgraphs with this many edges."""
         return sum((self.n - r) * c for r, c in self._rows.get(edge_count, {}).items())
 
-    def nullity_weighted_sum(self, edge_count: int) -> int:
-        """Sum of (l - r) * k_r^l over ranks r < l: cyclic subgraphs weighted by nullity."""
-        return sum(
-            (edge_count - r) * c
-            for r, c in self._rows.get(edge_count, {}).items()
-            if r <= edge_count - 1
-        )
-
     @cached_property
     def component_sums(self) -> tuple[int, ...]:
         """S_l = ``component_sum(l)`` for l = 0..m, built on first use."""
@@ -107,12 +103,16 @@ class RankTable:
 
     @cached_property
     def nullity_sums(self) -> tuple[int, ...]:
-        """N_l = ``nullity_weighted_sum(l)`` for l = 0..m, built on first use.
+        """N_l = sum of (l - r) k_r^l for l = 0..m, built on first use.
 
-        Each N_l is summed over the table's cells on its own, not derived from
-        the S_l, so the nullity route stays independent of ``eq2``.
+        N_l weights the cyclic l-edge subgraphs (r < l) by their nullity.  Each
+        N_l is summed over the table's cells on its own, not derived from the
+        S_l, so the nullity route stays independent of ``eq2``.
         """
-        return tuple(self.nullity_weighted_sum(l) for l in range(self.m + 1))
+        return tuple(
+            sum((l - r) * c for r, c in self._rows.get(l, {}).items() if r < l)
+            for l in range(self.m + 1)
+        )
 
     @cached_property
     def tutte(self) -> BivariatePolynomial:
@@ -171,9 +171,9 @@ def _check_cap(m: int, cap: int) -> None:
 
 
 # Width proof.  A Graph has at most MAX_EDGES = 63 edges, so at most 126 of its
-# vertices ever enter the frontier: a row of labels has at most 126 slots, a
-# label is at most 125 (the next unused one, one more than the row's largest)
-# and a state's completed count is at most 126.  All of them fit int8.
+# vertices ever enter the frontier: a row of labels has at most 126 slots, slot
+# j's name is at most j <= 125 and a state's completed count is at most 126.
+# All of them fit int8.
 _LABEL_DTYPE = np.int8
 # The completed count is the lowest digit of a state's first key word.
 _DONE_RADIX = 128
@@ -182,44 +182,45 @@ _WORD_LIMIT = 1 << 63
 
 
 def _merge_rows(labels: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
-    """Join blocks lu[i] != lv[i] of each canonical row i: the coarser partitions.
+    """Join blocks lu[i] != lv[i] of each first-slot row i: the coarser partitions.
 
-    Block hi = max(lu, lv) goes to lo = min(lu, lv), whose first slot comes
-    first, and the blocks above hi shift down by one, so the rows stay canonical.
+    Block hi = max(lu, lv) takes the name lo = min(lu, lv), the first slot of
+    the joined block; no other name changes.
     """
     lo = np.minimum(lu, lv)[:, None]
     hi = np.maximum(lu, lv)[:, None]
-    return np.where(labels == hi, lo, labels - (labels > hi))
+    return np.where(labels == hi, lo, labels)
 
 
 def _retire_rows(labels: np.ndarray, drops: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the slots ``drops`` from every canonical row.
+    """Drop the slots ``drops`` from every first-slot row, one slot at a time.
 
-    The kept slots are renumbered by first occurrence, one pass per column.
-    Returns their canonical labels and, per row, the number of blocks that
-    lost their last slot: components that are now complete.
+    A dropped slot s that heads its block hands the headship to the block's
+    next slot (the first later slot named s): the block's other slots take
+    that slot's index as their name.  Then every name above s goes down by
+    one, as its slot moves left.  Returns the kept rows and, per row, the
+    number of dropped heads with no later slot in their block: components
+    that are now complete.
     """
-    kept = np.delete(labels, drops, axis=1)
-    rows = np.arange(len(kept))
-    new_label = np.full((len(kept), labels.shape[1]), -1, dtype=_LABEL_DTYPE)
-    blocks = np.zeros(len(kept), dtype=_LABEL_DTYPE)
-    out = np.empty_like(kept)
-    for j in range(kept.shape[1]):
-        old = kept[:, j]
-        new = new_label[rows, old]
-        first = new < 0
-        new[first] = blocks[first]
-        new_label[rows[first], old[first]] = new[first]
-        blocks += first
-        out[:, j] = new
-    return out, labels.max(axis=1, initial=-1) + 1 - blocks
+    completed = np.zeros(len(labels), dtype=_LABEL_DTYPE)
+    # Highest slot first, so the lower dropped slots keep their index.
+    for s in sorted(drops, reverse=True):
+        later = labels[:, s + 1 :]
+        named_s = later == s  # only in rows where slot s heads its block
+        has_heir = named_s.any(axis=1)
+        completed += (labels[:, s] == s) & ~has_heir
+        if has_heir.any():
+            heir = s + 1 + named_s.argmax(axis=1)
+            later = np.where(named_s, heir[:, None].astype(_LABEL_DTYPE), later)
+        labels = np.concatenate((labels[:, :s], later - (later > s)), axis=1)
+    return labels, completed
 
 
 @lru_cache(maxsize=None)
 def _key_layout(width: int) -> tuple[tuple[int, int, np.ndarray], ...]:
     """Slots [start, stop) of each key word and the place value of each slot.
 
-    Slot j of a canonical row holds a label of at most j, a digit of radix
+    Slot j of a first-slot row holds a name of at most j, a digit of radix
     j + 1; the completed count is the lowest digit of word 0, radix
     _DONE_RADIX.  A word takes digits while the product of their radices stays
     at most 2^63, so it is below 2^63 (one word holds 18 slots).
@@ -319,13 +320,13 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     for step, e in enumerate(edge_order):
         u, v = g.edges[e]
         # Activate endpoints first seen here: every state gains the same
-        # fresh singleton block, so canonical form is preserved by appending.
+        # singleton block, named by its own slot.
         for w in (u, v):
             if first_step[w] == step:
                 slot[w] = len(active)
                 active.append(w)
-                fresh = labels.max(axis=1, initial=-1) + 1
-                labels = np.concatenate((labels, fresh[:, None]), axis=1)
+                fresh = np.full((len(labels), 1), slot[w], dtype=_LABEL_DTYPE)
+                labels = np.concatenate((labels, fresh), axis=1)
         lu, lv = labels[:, slot[u]], labels[:, slot[v]]
         joins = lu != lv
         children = np.concatenate((labels, _merge_rows(labels[joins], lu[joins], lv[joins])))
@@ -375,11 +376,15 @@ def build_rank_table(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> RankTable:
 
     Runs the partition sweep; graphs with more than ``cap`` edges are refused,
     and so is a sweep whose frontier outgrows ``MAX_FRONTIER_STATES``.  The
-    table is validated before it is returned.
+    table is validated before it is returned: a table that fails is a bug in
+    the sweep, raised as ``CorruptRankTableError``.
     """
     _check_cap(g.m, cap)
     table = RankTable(g.n, g.m, _frontier_counts(g))
-    table.validate()
+    try:
+        table.validate()
+    except ValueError as exc:
+        raise CorruptRankTableError(f"rank table of the sweep is corrupt: {exc}") from exc
     return table
 
 

@@ -39,5 +39,9 @@ class InexactDivisionError(MstLengthError):
     """Polynomial division left a nonzero remainder or non-integer quotient."""
 
 
+class CorruptRankTableError(MstLengthError):
+    """A computed rank table failed its structural invariants (a bug)."""
+
+
 class RouteDisagreementError(MstLengthError):
     """Independent coefficient routes produced different values (a bug)."""

@@ -141,23 +141,17 @@ def rank_counts_by_subsets(g: Graph) -> dict[tuple[int, int], int]:
 
 
 def canonical_labels(labels: tuple[int, ...]) -> tuple[int, ...]:
-    """Relabel partition blocks by first occurrence: (2, 0, 2) -> (0, 1, 0)."""
-    mapping: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out.append(mapping[lab])
-    return tuple(out)
+    """Name each partition block by its first slot: (2, 0, 2) -> (0, 1, 0)."""
+    return tuple(labels.index(x) for x in labels)
 
 
 def merge_labels(labels: tuple[int, ...], lu: int, lv: int) -> tuple[int, ...]:
-    """Join blocks lu and lv of a partition, then relabel by first occurrence."""
+    """Join blocks lu and lv of a partition, then name blocks by their first slot."""
     return canonical_labels(tuple(lu if lab == lv else lab for lab in labels))
 
 
 def retire_labels(labels: tuple[int, ...], keep: list[int]) -> tuple[tuple[int, ...], int]:
-    """Keep only the slots in ``keep``: canonical kept labels, blocks that vanished."""
+    """Keep only the slots in ``keep``: first-slot kept labels, blocks that vanished."""
     kept = tuple(labels[i] for i in keep)
     return canonical_labels(kept), len(set(labels)) - len(set(kept))
 

@@ -255,7 +255,7 @@ def test_diamond_counts():
 @given(connected_graphs(max_n=7, max_m=14))
 def test_diamond_equals_rank_table_cell(g):
     table = build_rank_table(g)
-    assert diamond_count(g) == table.counts.get((5, 3), 0)
+    assert diamond_count(g) == count_chorded_cycles(g, 4) == table.counts.get((5, 3), 0)
 
 
 @settings(max_examples=25, deadline=None)

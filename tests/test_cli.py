@@ -83,6 +83,16 @@ def test_frontier_overflow_is_cap_refusal(capsys, monkeypatch):
     assert "method=" not in err
 
 
+def test_corrupt_rank_table_is_an_internal_error(capsys, monkeypatch):
+    # A sweep that miscounts is a bug, not an input problem: exit 4, not 2.
+    counts = enumeration._frontier_counts(bipartite_graph(3, 2))
+    corrupted = {**counts, (1, 1): counts[(1, 1)] - 1}
+    monkeypatch.setattr(enumeration, "_frontier_counts", lambda g: corrupted)
+    code, out, err = run_cli(capsys, "compute", "--gen", "bipartite", "3", "2")
+    assert code == 4 and out == ""
+    assert "rank table of the sweep is corrupt: row 1 sums to 5, expected C(6,1)" in err
+
+
 def test_cap_override(capsys):
     code, out, _ = run_cli(capsys, "compute", "--gen", "cycle", "30", "--cap", "30")
     assert code == 0

@@ -171,8 +171,8 @@ def test_sweep_invariant_under_vertex_relabelling(data):
 
 
 @st.composite
-def _rgs_rows(draw, widths=st.integers(1, 10), max_rows: int = 8) -> list[tuple[int, ...]]:
-    """A stack of canonical rows of one width, as the sweep holds them."""
+def _first_slot_rows(draw, widths=st.integers(1, 10), max_rows: int = 8) -> list[tuple[int, ...]]:
+    """A stack of first-slot rows of one width, as the sweep holds them."""
     width = draw(widths)
     raw = st.lists(st.integers(0, width - 1), min_size=width, max_size=width)
     return [canonical_labels(tuple(r)) for r in draw(st.lists(raw, min_size=1, max_size=max_rows))]
@@ -182,10 +182,17 @@ def _stack(rows: list[tuple[int, ...]]) -> np.ndarray:
     return np.array(rows, dtype=_LABEL_DTYPE)
 
 
+def _assert_first_slot_form(rows: np.ndarray) -> None:
+    """Slot j names a slot at or before it, and that slot names itself."""
+    assert rows.dtype == _LABEL_DTYPE
+    for row in rows.tolist():
+        assert all(row[j] <= j and row[row[j]] == row[j] for j in range(len(row)))
+
+
 def _assert_retire_matches_oracle(rows: list[tuple[int, ...]], drops: list[int]) -> None:
     kept, completed = _retire_rows(_stack(rows), drops)
     keep = [i for i in range(len(rows[0])) if i not in drops]
-    assert kept.dtype == _LABEL_DTYPE
+    _assert_first_slot_form(kept)
     assert [(tuple(k), c) for k, c in zip(kept.tolist(), completed.tolist())] == [
         retire_labels(r, keep) for r in rows
     ]
@@ -194,19 +201,20 @@ def _assert_retire_matches_oracle(rows: list[tuple[int, ...]], drops: list[int])
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_label_transitions_match_oracle(data):
-    rows = data.draw(_rgs_rows())
+    rows = data.draw(_first_slot_rows())
     width = len(rows[0])
-    drops = sorted(data.draw(st.sets(st.sampled_from(range(width)))))
+    # any set of slots, in any order: the sweep drops slot[u] before slot[v]
+    drops = data.draw(st.lists(st.sampled_from(range(width)), unique=True))
     _assert_retire_matches_oracle(rows, drops)
-    merging = [r for r in rows if max(r) >= 1]
+    merging = [r for r in rows if len(set(r)) >= 2]
     if merging:
         pairs = [
-            data.draw(st.lists(st.integers(0, max(r)), min_size=2, max_size=2, unique=True))
+            data.draw(st.lists(st.sampled_from(sorted(set(r))), min_size=2, max_size=2, unique=True))
             for r in merging
         ]
         lu, lv = (np.array(side, dtype=_LABEL_DTYPE) for side in zip(*pairs))
         merged = _merge_rows(_stack(merging), lu, lv)
-        assert merged.dtype == _LABEL_DTYPE
+        _assert_first_slot_form(merged)
         assert [tuple(m) for m in merged.tolist()] == [
             merge_labels(r, a, b) for r, (a, b) in zip(merging, pairs)
         ]
@@ -215,14 +223,20 @@ def test_label_transitions_match_oracle(data):
 @pytest.mark.parametrize(
     "rows, drops",
     [
-        # block 0's first slot goes: block 1 now starts first
-        ([(0, 1, 0, 2), (0, 1, 1, 0), (0, 0, 1, 0)], [0]),
+        # block 0's first slot goes: its next slot heads it, named 1
+        ([(0, 1, 0, 3), (0, 1, 1, 0), (0, 0, 2, 0)], [0]),
         # block 1's first slot goes and its next slot comes after block 2's
-        ([(0, 1, 2, 1, 3), (0, 1, 2, 2, 1)], [1]),
+        ([(0, 1, 2, 1, 4), (0, 1, 2, 2, 1)], [1]),
         # the first slots of two blocks go in one step, one block completes
-        ([(0, 1, 2, 0, 1), (0, 1, 2, 3, 1), (0, 0, 1, 2, 2)], [0, 2]),
+        ([(0, 1, 2, 0, 1), (0, 1, 2, 3, 1), (0, 0, 2, 3, 3)], [0, 2]),
         # every slot retires
         ([(0, 1, 0), (0, 0, 0), (0, 1, 2)], [0, 1, 2]),
+        # the last slot retires: nothing comes after it to take a name
+        ([(0, 1, 0, 3), (0, 1, 1, 1), (0, 1, 2, 1), (0, 0, 0, 0)], [3]),
+        # both endpoints retire, in sweep order, and slot 2 names slot 0's block
+        ([(0, 1, 0, 1), (0, 1, 0, 3), (0, 0, 0, 3)], [2, 0]),
+        # block 0's name passes over slot 1, which belongs to block 1
+        ([(0, 1, 0, 3, 1), (0, 1, 1, 0, 4)], [0]),
     ],
 )
 def test_retire_moves_first_slots(rows, drops):
@@ -262,10 +276,11 @@ def test_key_words_hold_to_the_edge_limit():
     assert len(_key_layout(18)) == 1 and len(_key_layout(19)) == 2
 
 
-def _all_rgs(width: int) -> list[tuple[int, ...]]:
+def _all_first_slot_rows(width: int) -> list[tuple[int, ...]]:
+    """Every partition of ``width`` slots: slot j joins a block seen so far or heads its own."""
     rows = [()]
-    for _ in range(width):
-        rows = [r + (x,) for r in rows for x in range(max(r, default=-1) + 2)]
+    for j in range(width):
+        rows = [r + (x,) for r in rows for x in sorted(set(r)) + [j]]
     return rows
 
 
@@ -282,7 +297,7 @@ def _key_words(states: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...
 
 @pytest.mark.parametrize("width", range(8))
 def test_state_keys_tell_every_small_state_apart(width):
-    states = [(r, d) for r in _all_rgs(width) for d in (0, 1, 62, _DONE_RADIX - 1)]
+    states = [(r, d) for r in _all_first_slot_rows(width) for d in (0, 1, 62, _DONE_RADIX - 1)]
     assert len(set(_key_words(states))) == len(states)
 
 
@@ -290,7 +305,7 @@ def test_state_keys_tell_every_small_state_apart(width):
 @given(st.data())
 def test_state_keys_are_equal_exactly_for_equal_states(data):
     width = data.draw(st.integers(1, 40))
-    rows = data.draw(_rgs_rows(st.just(width), max_rows=4))
+    rows = data.draw(_first_slot_rows(st.just(width), max_rows=4))
     states = [(r, data.draw(st.integers(0, 63))) for r in rows]
     # near-misses: one slot or the count changed, and exact copies
     for labels, done in list(states):
