@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -128,8 +130,27 @@ def test_simulate_matches_reference_per_trial():
     trials = BLOCK_TRIALS + 500
     expected = _reference_lengths(g, seed, 0, trials)
     est = simulate(g, trials, seed=seed)
-    assert est.mean == math.fsum(expected) / trials
+    mean = math.fsum(expected) / trials
+    variance = math.fsum((x - mean) ** 2 for x in expected) / (trials - 1)
+    assert est.mean == mean
+    assert est.stderr == math.sqrt(variance / trials)
     assert (est.min_length, est.max_length) == (min(expected), max(expected))
+
+
+REFERENCES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
+
+@pytest.mark.parametrize(
+    "name, g",
+    [("K4", complete_graph(4)), ("K8", complete_graph(8)), ("C30", cycle_graph(30))],
+)
+def test_simulate_matches_committed_benchmark_means(name, g):
+    # The benchmark's committed means pin the whole estimate at its default
+    # seed, so a kernel that drifts by one ulp fails here, not only there.
+    refs = json.loads(REFERENCES.read_text("ascii"))["mc"]
+    assert refs["generator_id"] == mc.GENERATOR_ID
+    est = simulate(g, refs["trials"], refs["default_seed"])
+    assert est.mean == refs["means"][name]
 
 
 @pytest.mark.parametrize(
