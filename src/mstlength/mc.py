@@ -2,17 +2,21 @@
 
 Reproducibility contract: trial i draws its weights from a Philox4x64 counter
 stream keyed by (seed, i // BLOCK_TRIALS), row i % BLOCK_TRIALS -- a pure
-function of the seed and the trial index.  Block boundaries are fixed, worker
+function of the seed and the trial index.  The seed is one 64-bit key word,
+so it must lie in [0, 2**64).  Block boundaries are fixed, worker
 processes only ever split on block boundaries, and aggregation uses exact
 summation (math.fsum), so the estimate is bit-identical for any worker count.
 
-One block is one weight matrix, a row per trial, and Kruskal runs across all
-of its rows at once (``_mst_lengths``): a stable argsort ranks each row's
-edges, then the rank columns are taken in turn, each one a handful of array
-operations over the rows still short of a spanning tree, with one flat
-union-find array holding every row's vertices.  Each row adds its accepted
-weights in rank order, exactly as the scalar reference
-``mst_length_for_weights`` does, so every per-trial length is the same float.
+Every weight is an integer tick on the 2**-53 lattice, as numpy's
+``Generator.random()`` makes it from the same 64-bit word, so one block is one
+tick matrix, a row per trial.  Kruskal runs across all of its rows at once
+(``_mst_lengths``): each tick is packed with its edge index into one integer
+sort key, one in-place row sort ranks every row's edges, then the rank columns
+are taken in turn, each one a handful of array operations over the rows still
+short of a spanning tree, with one flat union-find array holding every row's
+vertices.  Each row adds its accepted weights in rank order, exactly as the
+scalar reference ``mst_length_for_weights`` does, so every per-trial length is
+the same float.
 
 Floating point is confined to this module; everything exact lives elsewhere.
 """
@@ -56,10 +60,18 @@ class McEstimate:
         }
 
 
-def _block_weights(seed: int, block: int, m: int) -> np.ndarray:
-    """Uniform weights for one block of trials, shape (BLOCK_TRIALS, m)."""
-    bits = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), block]))
-    return bits.random((BLOCK_TRIALS, m))
+def _block_ticks(seed: int, block: int, m: int) -> np.ndarray:
+    """Weight ticks for one block of trials: uint64, shape (BLOCK_TRIALS, m).
+
+    ``Generator.random()`` returns ``(next_uint64 >> 11) * 2**-53``, so each
+    weight is an integer tick below 2**53 on the 2**-53 lattice; this draws the
+    same 64-bit words and keeps the ticks, tick t standing for weight t * 2**-53
+    exactly.
+    """
+    key = np.array([seed, block], dtype=np.uint64)
+    ticks = np.random.Philox(key=key).random_raw((BLOCK_TRIALS, m))
+    ticks >>= 11
+    return ticks
 
 
 def find(parent: list[int], x: int) -> int:
@@ -97,49 +109,67 @@ def mst_length_for_weights(g: Graph, weights: list[float]) -> float:
 def _roots(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Union-find roots of the flat slots x, halving every path on the way up.
 
-    The slots in x lie in different rows, so all of them step at once; a slot
-    already at its root rewrites parent[x] = x, which changes nothing.
+    The slots in x lie in different rows, so all of them step at once.  Only
+    the slots not yet at a root step (``lag`` indexes them in x); x is
+    overwritten with the roots and returned.
     """
     p = parent[x]
-    while (p != x).any():
-        grandparent = parent[p]
-        parent[x] = grandparent
-        x = grandparent
-        p = parent[x]
+    lag = np.flatnonzero(p != x)
+    while lag.size:
+        grandparent = parent[p[lag]]
+        parent[x[lag]] = grandparent
+        x[lag] = grandparent
+        p[lag] = parent[grandparent]
+        lag = lag[p[lag] != grandparent]
     return x
 
 
-def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], weights: np.ndarray) -> np.ndarray:
-    """MST length of every row of ``weights`` (shape (rows, m)), by Kruskal.
+def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], ticks: np.ndarray) -> np.ndarray:
+    """MST length of every row of ``ticks`` (uint64, shape (rows, m)), by Kruskal.
 
-    Column k of the stable argsort is each row's k-th lightest edge, ties going
-    to the lower edge index.  The columns are taken in turn across the live
-    rows, those still short of n - 1 tree edges; row r's vertices own slots
-    r*n .. r*n+n-1 of one flat union-find array.  An accepted edge adds its
-    weight to its row's total, so every total sums the same weights in the same
-    order as ``mst_length_for_weights`` and is bit-identical to it.  A row that
-    never gets n - 1 tree edges (a disconnected graph) ends with its spanning
+    Row r's weights are ``ticks[r] * 2**-53``.  The kernel consumes its
+    argument: it builds the sort keys in place in ``ticks``, key = tick << 6 |
+    edge index.  A tick is below 2**53 and an edge index below 2**6, since a
+    Graph has m <= MAX_EDGES = 63 edges, so a key is below 2**59: it fits in
+    uint64 (and in int64, which the kernel views it as), and the tick and the
+    index never overlap.  The keys of a row are unique, so one in-place row
+    sort puts its edges in the reference's total order: by weight, ties going
+    to the lower edge index.
+
+    Column k of the sorted keys is then each row's k-th lightest edge: one
+    gather gives the edge (key & 63) and its weight ((key >> 6) * 2**-53,
+    exact, as the tick is below 2**53).  The columns are taken in turn across
+    the live rows, those still short of n - 1 tree edges; row r's vertices own
+    slots r*n .. r*n+n-1 of one flat union-find array.  It stays intp, the
+    type numpy indexes with: an int32 array would be cast to intp by every
+    gather and scatter.  An accepted edge adds its weight to its row's total,
+    so every total sums the same weights in the same order as
+    ``mst_length_for_weights`` and is bit-identical to it.  A row that never
+    gets n - 1 tree edges (a disconnected graph) ends with its spanning
     forest's length, as the reference does.
     """
-    rows, m = weights.shape
+    rows, m = ticks.shape
+    keys = ticks.view(np.int64)
+    keys <<= 6
+    keys |= np.arange(m)
+    keys.sort(axis=1)
+    flat_keys = keys.ravel()
     ends = np.array(edges, dtype=np.intp).reshape(m, 2)
     eu, ev = ends[:, 0], ends[:, 1]
-    # Held in the narrowest type that fits an edge index: a byte for any Graph.
-    order = np.argsort(weights, axis=1, kind="stable").astype(np.min_scalar_type(m)).ravel()
-    flat_weights = weights.ravel()
     parent = np.arange(rows * n)
     lengths = np.zeros(rows)
     live = np.arange(rows)
-    cell, base = live * m, live * n  # each live row's first entry in order and parent
+    cell, base = live * m, live * n  # each live row's first key and slot
     total = np.zeros(rows)
     picked = np.zeros(rows, dtype=np.intp)
     for k in range(m):
-        e = order[cell + k]
+        key = flat_keys[cell + k]
+        e = key & 63
         u = _roots(parent, base + eu[e])
         v = _roots(parent, base + ev[e])
         join = u != v
-        # Adding 0.0 to a rejected row's total leaves it bit for bit as it was.
-        total += np.where(join, flat_weights[cell + e], 0.0)
+        # Only the rows that accept the edge add its weight; the rest keep theirs.
+        np.add(total, (key >> 6) * 2**-53, out=total, where=join)
         parent[u] = v  # a no-op where u == v
         picked += join
         done = picked == n - 1
@@ -162,16 +192,17 @@ def _simulate_blocks(
     first_block: int,
     first_trial: int,
     last_trial: int,
-) -> list[float]:
+) -> np.ndarray:
     """MST lengths for trials [first_trial, last_trial) of the global stream."""
-    lengths: list[float] = []
+    lengths = np.empty(last_trial - first_trial)
     block = first_block
     trial = first_trial
     while trial < last_trial:
         row_lo = trial - block * BLOCK_TRIALS
         row_hi = min(BLOCK_TRIALS, last_trial - block * BLOCK_TRIALS)
-        weights = _block_weights(seed, block, len(edges))[row_lo:row_hi]
-        lengths.extend(_mst_lengths(n, edges, weights).tolist())
+        ticks = _block_ticks(seed, block, len(edges))[row_lo:row_hi]
+        out = trial - first_trial
+        lengths[out : out + row_hi - row_lo] = _mst_lengths(n, edges, ticks)
         trial = (block + 1) * BLOCK_TRIALS
         block += 1
     return lengths
@@ -185,11 +216,13 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
         raise ValueError(f"trials must be >= 1, got {trials}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
     n_blocks = -(-trials // BLOCK_TRIALS)
     workers = min(threads, n_blocks, os.cpu_count() or 1)
     if workers <= 1:
-        lengths = _simulate_blocks(g.n, g.edges, seed, 0, 0, trials)
+        blocks = _simulate_blocks(g.n, g.edges, seed, 0, 0, trials)
     else:
         # Split on block boundaries only; concatenation in block order makes
         # the gathered lengths identical to the serial run.
@@ -207,9 +240,8 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
                 )
                 for i in range(workers)
             ]
-            lengths = []
-            for future in futures:
-                lengths.extend(future.result())
+            blocks = np.concatenate([future.result() for future in futures])
+    lengths = blocks.tolist()
 
     mean = math.fsum(lengths) / trials
     if trials > 1:

@@ -209,6 +209,15 @@ def test_simulate_rejects_worker_count_below_one(capsys, threads):
     assert "threads" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_rejects_seed_outside_64_bits(capsys, seed):
+    code, out, err = run_cli(
+        capsys, "simulate", "--gen", "complete", "3", "--trials", "100", "--seed", seed
+    )
+    assert code == 2 and out == ""
+    assert "[0, 2**64)" in err
+
+
 def test_simulate_seed_reproducibility(capsys):
     _, out1, _ = run_cli(capsys, "simulate", "--gen", "complete", "4", "--trials", "5000", "--seed", "3")
     _, out2, _ = run_cli(capsys, "simulate", "--gen", "complete", "4", "--trials", "5000", "--seed", "3")

@@ -8,11 +8,19 @@ import pytest
 
 from mstlength import mc
 from mstlength.errors import DisconnectedGraphError
-from mstlength.graphs import Graph, bipartite_graph, complete_graph, cycle_graph, path_graph
+from mstlength.graphs import (
+    MAX_EDGES,
+    Graph,
+    bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    is_connected,
+    path_graph,
+)
 from mstlength.mc import (
     BLOCK_TRIALS,
     McEstimate,
-    _block_weights,
+    _block_ticks,
     _mst_lengths,
     _simulate_blocks,
     compare,
@@ -94,6 +102,38 @@ def test_edge_order_invariance_per_assignment():
         )
 
 
+def _generator_weights(seed, block, m):
+    """One block's weights as numpy's Generator draws them from the Philox stream."""
+    key = np.array([seed, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random((BLOCK_TRIALS, m))
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2**63 - 1, 2**63, 2**64 - 1])
+def test_block_ticks_are_the_generator_weights_on_the_lattice(seed):
+    # The kernel reads raw words; numpy's Generator converts them to floats
+    # itself.  Both must give the same weights, bit for bit, or the stream
+    # named by GENERATOR_ID has changed.
+    for block in (0, 1, 5):
+        ticks = _block_ticks(seed, block, 7)
+        assert ticks.dtype == np.uint64 and int(ticks.max()) < 2**53
+        weights = ticks * 2**-53
+        assert weights.tobytes() == _generator_weights(seed, block, 7).tobytes(), (seed, block)
+
+
+def test_seeds_outside_64_bits_rejected():
+    for seed in (-1, -2, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            simulate(complete_graph(3), 10, seed=seed)
+
+
+def test_seeds_above_2_63_get_their_own_streams():
+    g = complete_graph(4)
+    a = simulate(g, 2000, seed=2**63 + 1)
+    b = simulate(g, 2000, seed=2**63 + 2)
+    assert a.mean != b.mean
+    assert a.seed == 2**63 + 1 and b.seed == 2**63 + 2
+
+
 def _reference_lengths(g, seed, first, last):
     """Reference lengths for trials [first, last), from their Philox rows."""
     blocks = {}
@@ -101,7 +141,7 @@ def _reference_lengths(g, seed, first, last):
     for t in range(first, last):
         block = t // BLOCK_TRIALS
         if block not in blocks:
-            blocks[block] = _block_weights(seed, block, g.m)
+            blocks[block] = _generator_weights(seed, block, g.m)
         lengths.append(mst_length_for_weights(g, blocks[block][t % BLOCK_TRIALS].tolist()))
     return lengths
 
@@ -164,12 +204,31 @@ def test_simulate_matches_committed_benchmark_means(name, g):
     ids=["K4", "K32", "C6", "forest"],
 )
 def test_kernel_matches_reference_under_ties(g):
-    # Weights on multiples of 1/8 tie often; the stable argsort must still
-    # give every row the reference's length, bit for bit.  On a disconnected
-    # graph no row gets n - 1 tree edges and both give the spanning forest.
-    weights = np.random.default_rng(3).integers(0, 8, size=(2000, g.m)) / 8
-    lengths = _mst_lengths(g.n, g.edges, weights)
+    # Ticks on multiples of 2**50 are weights on multiples of 1/8 and tie
+    # often; the sorted keys must still give every row the reference's
+    # length, bit for bit.  On a disconnected graph no row gets n - 1 tree
+    # edges and both give the spanning forest.
+    ticks = np.random.default_rng(3).integers(0, 8, size=(2000, g.m), dtype=np.uint64) << 50
+    weights = ticks * 2**-53
+    lengths = _mst_lengths(g.n, g.edges, ticks.copy())
     assert lengths.tolist() == [mst_length_for_weights(g, row.tolist()) for row in weights]
+
+
+def test_kernel_key_width_at_the_edge_limit():
+    # 63 edges (K_11 and an 8-edge pendant path) fill the 6 index bits, and
+    # ticks 0 and 2**53 - 1 fill the tick bits; ties fall on a few lattice
+    # points, so rows rank many equal weights by edge index.
+    k11 = complete_graph(11)
+    g = Graph(19, k11.edges + tuple((v, v + 1) for v in range(10, 18)))
+    assert g.m == MAX_EDGES and is_connected(g)
+    points = np.array([0, 1, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    ticks = np.random.default_rng(11).choice(points, size=(1500, g.m))
+    ticks[0] = 0
+    ticks[1] = 2**53 - 1
+    lengths = _mst_lengths(g.n, g.edges, ticks.copy())
+    expected = [mst_length_for_weights(g, (row * 2**-53).tolist()) for row in ticks]
+    assert lengths.tolist() == expected
+    assert lengths[0] == 0.0 and lengths[1] == 18 * (2**53 - 1) * 2**-53
 
 
 def test_disconnected_rejected():
