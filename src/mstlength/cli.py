@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo estimate (and compare when exact is in reach)")
     _add_common(p)
     p.add_argument("--trials", type=int, default=100_000, help="number of trials")
-    p.add_argument("--seed", type=int, default=0, help="64-bit generator seed")
+    p.add_argument("--seed", type=int, default=0, help="generator seed, 0 <= seed < 2**64")
     p.add_argument("--threads", type=int, default=1, help="worker processes for the trials")
     p.add_argument(
         "--z-threshold", type=float, default=4.0, help="pass threshold in stderr units"

@@ -168,7 +168,6 @@ def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], ticks: np.ndarray) 
         u = _roots(parent, base + eu[e])
         v = _roots(parent, base + ev[e])
         join = u != v
-        # Only the rows that accept the edge add its weight; the rest keep theirs.
         np.add(total, (key >> 6) * 2**-53, out=total, where=join)
         parent[u] = v  # a no-op where u == v
         picked += join
@@ -194,18 +193,17 @@ def _simulate_blocks(
     last_trial: int,
 ) -> np.ndarray:
     """MST lengths for trials [first_trial, last_trial) of the global stream."""
-    lengths = np.empty(last_trial - first_trial)
+    lengths = []
     block = first_block
     trial = first_trial
     while trial < last_trial:
         row_lo = trial - block * BLOCK_TRIALS
         row_hi = min(BLOCK_TRIALS, last_trial - block * BLOCK_TRIALS)
         ticks = _block_ticks(seed, block, len(edges))[row_lo:row_hi]
-        out = trial - first_trial
-        lengths[out : out + row_hi - row_lo] = _mst_lengths(n, edges, ticks)
+        lengths.append(_mst_lengths(n, edges, ticks))
         trial = (block + 1) * BLOCK_TRIALS
         block += 1
-    return lengths
+    return np.concatenate(lengths)
 
 
 def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimate:
@@ -222,7 +220,7 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
     n_blocks = -(-trials // BLOCK_TRIALS)
     workers = min(threads, n_blocks, os.cpu_count() or 1)
     if workers <= 1:
-        blocks = _simulate_blocks(g.n, g.edges, seed, 0, 0, trials)
+        per_trial = _simulate_blocks(g.n, g.edges, seed, 0, 0, trials)
     else:
         # Split on block boundaries only; concatenation in block order makes
         # the gathered lengths identical to the serial run.
@@ -240,8 +238,8 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
                 )
                 for i in range(workers)
             ]
-            blocks = np.concatenate([future.result() for future in futures])
-    lengths = blocks.tolist()
+            per_trial = np.concatenate([future.result() for future in futures])
+    lengths = per_trial.tolist()
 
     mean = math.fsum(lengths) / trials
     if trials > 1:
