@@ -59,6 +59,13 @@ def graphs(draw, max_n: int = 7, max_m: int | None = None) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertices numbered row by row."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, tuple(edges))
+
+
 unit_interval_rationals = st.fractions(
     min_value=Fraction(1, 100), max_value=Fraction(99, 100)
 )

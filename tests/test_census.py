@@ -31,7 +31,7 @@ from mstlength.graphs import (
 )
 
 from .oracles import count_cycles_brute, count_k4_brute, count_k32_brute
-from .strategies import connected_graphs, graphs
+from .strategies import connected_graphs, graphs, grid_graph
 
 
 def test_k32_cycle_counts():
@@ -121,12 +121,6 @@ def _closed_form_census(g):
     return census.cycles, census.chorded_cycles, census.chorded_plus_edge
 
 
-def _grid(rows, cols):
-    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return Graph(rows * cols, tuple(edges))
-
-
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=12, max_m=36))
 @example(Graph(1))
@@ -143,7 +137,7 @@ FAMILIES = (
     + [bipartite_graph(a, b) for a in range(1, 6) for b in range(a, 7)]
     + [cycle_graph(n) for n in range(3, 13)]
     + [path_graph(n) for n in (1, 2, 5, 9)]
-    + [_grid(rows, cols) for rows, cols in ((2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (5, 5))]
+    + [grid_graph(rows, cols) for rows, cols in ((2, 2), (2, 5), (3, 3), (3, 4), (4, 4), (5, 5))]
 )
 
 

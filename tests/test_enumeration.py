@@ -48,7 +48,7 @@ from .oracles import (
     tutte_polynomial_networkx,
     tutte_polynomial_whitney,
 )
-from .strategies import block_graphs, connected_graphs
+from .strategies import block_graphs, connected_graphs, graphs, grid_graph
 
 
 def test_min_subgraph_rank_values():
@@ -132,6 +132,16 @@ def test_methods_agree_on_generators():
 @settings(max_examples=30, deadline=None)
 @given(connected_graphs(max_n=6, max_m=12))
 def test_methods_agree_random(g):
+    assert _frontier_counts(g) == rank_counts_by_subsets(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=7, max_m=10))
+@example(Graph(5, ()))
+@example(Graph(6, ((0, 1), (1, 2), (0, 2))))
+@example(Graph(4, ((0, 1), (2, 3))))
+def test_methods_agree_on_any_graph(g):
+    # disconnected, isolated-vertex and edgeless graphs as well
     assert _frontier_counts(g) == rank_counts_by_subsets(g)
 
 
@@ -257,6 +267,22 @@ def test_budget_refusal_stops_inside_the_step(monkeypatch):
         _frontier_counts(complete_graph(7))
     # steps 1-15 added their counts; the refusing step 16 added none
     assert len(merged) == 15 and max(merged) <= 210
+
+
+@pytest.mark.parametrize(
+    "g, peak",
+    [(complete_graph(8), 1080), (grid_graph(5, 5), 463), (cycle_graph(20), 20)],
+    ids=["K8", "grid5x5", "C20"],
+)
+def test_peak_states_are_pinned(monkeypatch, g, peak):
+    # a sweep holds each partition state once: its peak is the budget it needs
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak)
+    assert RankTable(g.n, g.m, _frontier_counts(g)).spanning_tree_count() == (
+        spanning_tree_count_kirchhoff(g)
+    )
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak - 1)
+    with pytest.raises(FrontierOverflowError, match=f"budget of {peak - 1} "):
+        _frontier_counts(g)
 
 
 def test_key_words_hold_to_the_edge_limit():
