@@ -7,8 +7,9 @@ all coefficient routes -- is a function of this table, so it is computed once.
 
 The table comes from a partition sweep over the edge list.  Edges are taken or
 skipped one at a time while tracking the partition of "active" vertices (those
-with edges still pending) plus a completed-component counter, so the 2^m
-subsets are aggregated by distributivity instead of visited one by one.  The
+with edges still pending) plus the rank, the number of forest edges taken, so
+the 2^m subsets are aggregated by distributivity instead of visited one by
+one.  The
 counts are exact integers; the cost grows with the number of partition states
 on the frontier, not with 2^m, which makes dense graphs such as the 28-edge
 complete graph on 8 vertices cheap on a single core.
@@ -19,16 +20,16 @@ index of the first slot of its block, so (0, 1, 0, 3) puts the first and third
 active vertices in one block and the second and fourth in blocks of their own.
 Each partition has exactly one such spelling, and slot j's name is at most j.
 A new vertex takes its own slot index; taking an edge between blocks a < b
-renames b to a; retiring a vertex drops its slot, renames its block by the
-block's next slot if the dropped slot was the first, and lowers the names
-above the dropped slot by one.  A dropped first slot with no later slot in its
-block closes a completed component.  No step renumbers the whole row.
+renames b to a and adds one to the rank; retiring a vertex drops its slot,
+renames its block by the block's next slot if the dropped slot was the first,
+and lowers the names above the dropped slot by one.  No step renumbers the
+whole row.
 
 Each step moves every state at once with numpy.  The states are three arrays
-of one row each: the labels as an int8 matrix, the completed counts, and an
-object array of packed big-int counts.  Equal children of a step are found by
-sorting mixed-radix int64 keys of (labels, completed count) and are summed
-with one ``np.add.reduceat``.
+of one row each: the labels as an int8 matrix, the ranks, and an object array
+of packed big-int counts.  Equal children of a step are found by sorting
+mixed-radix int64 keys of (labels, rank) and are summed with one
+``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -171,12 +172,12 @@ def _check_cap(m: int, cap: int) -> None:
 
 
 # Width proof.  A Graph has at most MAX_EDGES = 63 edges, so at most 126 of its
-# vertices ever enter the frontier: a row of labels has at most 126 slots, slot
-# j's name is at most j <= 125 and a state's completed count is at most 126.
-# All of them fit int8.
+# vertices ever enter the frontier: a row of labels has at most 126 slots and
+# slot j's name is at most j <= 125.  A state's rank counts forest edges, so it
+# is at most 63.  All of them fit int8.
 _LABEL_DTYPE = np.int8
-# The completed count is the lowest digit of a state's first key word.
-_DONE_RADIX = 128
+# The rank is the lowest digit of a state's first key word.
+_RANK_RADIX = 128
 # Every key word stays below this bound, so it fits int64.
 _WORD_LIMIT = 1 << 63
 
@@ -192,28 +193,23 @@ def _merge_rows(labels: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> np.ndarra
     return np.where(labels == hi, lo, labels)
 
 
-def _retire_rows(labels: np.ndarray, drops: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _retire_rows(labels: np.ndarray, drops: list[int]) -> np.ndarray:
     """Drop the slots ``drops`` from every first-slot row, one slot at a time.
 
     A dropped slot s that heads its block hands the headship to the block's
     next slot (the first later slot named s): the block's other slots take
     that slot's index as their name.  Then every name above s goes down by
-    one, as its slot moves left.  Returns the kept rows and, per row, the
-    number of dropped heads with no later slot in their block: components
-    that are now complete.
+    one, as its slot moves left.  Returns the kept rows.
     """
-    completed = np.zeros(len(labels), dtype=_LABEL_DTYPE)
     # Highest slot first, so the lower dropped slots keep their index.
     for s in sorted(drops, reverse=True):
         later = labels[:, s + 1 :]
         named_s = later == s  # only in rows where slot s heads its block
-        has_heir = named_s.any(axis=1)
-        completed += (labels[:, s] == s) & ~has_heir
-        if has_heir.any():
+        if named_s.any():
             heir = s + 1 + named_s.argmax(axis=1)
             later = np.where(named_s, heir[:, None].astype(_LABEL_DTYPE), later)
         labels = np.concatenate((labels[:, :s], later - (later > s)), axis=1)
-    return labels, completed
+    return labels
 
 
 @lru_cache(maxsize=None)
@@ -221,12 +217,12 @@ def _key_layout(width: int) -> tuple[tuple[int, int, np.ndarray], ...]:
     """Slots [start, stop) of each key word and the place value of each slot.
 
     Slot j of a first-slot row holds a name of at most j, a digit of radix
-    j + 1; the completed count is the lowest digit of word 0, radix
-    _DONE_RADIX.  A word takes digits while the product of their radices stays
-    at most 2^63, so it is below 2^63 (one word holds 18 slots).
+    j + 1; the rank is the lowest digit of word 0, radix _RANK_RADIX.  A word
+    takes digits while the product of their radices stays at most 2^63, so it
+    is below 2^63 (one word holds 18 slots).
     """
     words = []
-    start, place, places = 0, _DONE_RADIX, []
+    start, place, places = 0, _RANK_RADIX, []
     for j in range(width):
         if place * (j + 1) > _WORD_LIMIT:
             words.append((start, j, np.array(places, dtype=np.int64)))
@@ -237,10 +233,10 @@ def _key_layout(width: int) -> tuple[tuple[int, int, np.ndarray], ...]:
     return tuple(words)
 
 
-def _state_keys(labels: np.ndarray, done: np.ndarray) -> list[np.ndarray]:
-    """Mixed-radix int64 words, equal for two rows exactly when (labels, done) is."""
+def _state_keys(labels: np.ndarray, rank: np.ndarray) -> list[np.ndarray]:
+    """Mixed-radix int64 words, equal for two rows exactly when (labels, rank) is."""
     keys = [labels[:, start:stop] @ places for start, stop, places in _key_layout(labels.shape[1])]
-    keys[0] += done
+    keys[0] += rank
     return keys
 
 
@@ -296,49 +292,37 @@ def _combine_counts(
 
 
 def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
-    n, m = g.n, g.m
-    if m == 0:
-        return {(0, 0): 1}
-
     edge_order = _sweep_edge_order(g)
-    first_step: dict[int, int] = {}
-    last_step: dict[int, int] = {}
-    for step, e in enumerate(edge_order):
-        for w in g.edges[e]:
-            first_step.setdefault(w, step)
-            last_step[w] = step
-    isolated = n - len(last_step)
+    last_step = {w: step for step, e in enumerate(edge_order) for w in g.edges[e]}
 
     active: list[int] = []
-    slot: dict[int, int] = {}
-    # One state per row: block labels aligned with `active`, completed
-    # components, and the packed counts.
+    # One state per row: block labels aligned with `active`, the rank, and
+    # the packed counts.
     labels = np.zeros((1, 0), dtype=_LABEL_DTYPE)
-    done = np.zeros(1, dtype=_LABEL_DTYPE)
+    rank = np.zeros(1, dtype=_LABEL_DTYPE)
     vec = np.array([1], dtype=object)
 
     for step, e in enumerate(edge_order):
         u, v = g.edges[e]
-        # Activate endpoints first seen here: every state gains the same
-        # singleton block, named by its own slot.
+        # Activate endpoints first seen here (a retired vertex never comes
+        # back): every state gains the same singleton block, named by its slot.
         for w in (u, v):
-            if first_step[w] == step:
-                slot[w] = len(active)
-                active.append(w)
-                fresh = np.full((len(labels), 1), slot[w], dtype=_LABEL_DTYPE)
+            if w not in active:
+                fresh = np.full((len(labels), 1), len(active), dtype=_LABEL_DTYPE)
                 labels = np.concatenate((labels, fresh), axis=1)
-        lu, lv = labels[:, slot[u]], labels[:, slot[v]]
+                active.append(w)
+        su, sv = active.index(u), active.index(v)
+        lu, lv = labels[:, su], labels[:, sv]
         joins = lu != lv
         children = np.concatenate((labels, _merge_rows(labels[joins], lu[joins], lv[joins])))
-        child_done = np.concatenate((done, done[joins]))
-        drops = [slot[w] for w in (u, v) if last_step[w] == step]
+        # a taken edge that joins two blocks is one more forest edge
+        child_rank = np.concatenate((rank, rank[joins] + 1))
+        drops = [s for s, w in ((su, u), (sv, v)) if last_step[w] == step]
         if drops:
-            children, completed = _retire_rows(children, drops)
-            child_done += completed
+            children = _retire_rows(children, drops)
             active = [w for w in active if last_step[w] != step]
-            slot = {w: i for i, w in enumerate(active)}
 
-        keys = _state_keys(children, child_done)
+        keys = _state_keys(children, child_rank)
         order = np.lexsort(keys)
         opens_run = np.zeros(len(order), dtype=bool)
         opens_run[0] = True
@@ -351,21 +335,21 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
         if len(starts) > MAX_FRONTIER_STATES:
             raise FrontierOverflowError(
                 f"exact enumeration needs more than its budget of {MAX_FRONTIER_STATES} "
-                f"partition states (reached at edge {step + 1}/{m}); use a graph with "
+                f"partition states (reached at edge {step + 1}/{g.m}); use a graph with "
                 "fewer edges, or a Monte Carlo estimate (`mstlength simulate --cap 0`)"
             )
         vec = _combine_counts(vec, joins, order, starts)
         kept = order[starts]
-        labels, done = children[kept], child_done[kept]
+        labels, rank = children[kept], child_rank[kept]
 
+    # Every vertex has retired, so each state is its rank alone.
     counts: dict[tuple[int, int], int] = {}
-    for d, packed in zip(done.tolist(), vec):
-        rank = n - (d + isolated)  # all vertices retired: every label is gone
+    for r, packed in zip(rank.tolist(), vec):
         l = 0
         while packed:
             digit = packed & _DIGIT_MASK
             if digit:
-                counts[(l, rank)] = counts.get((l, rank), 0) + digit
+                counts[(l, r)] = digit
             packed >>= _DIGIT_BITS
             l += 1
     return counts

@@ -150,10 +150,9 @@ def merge_labels(labels: tuple[int, ...], lu: int, lv: int) -> tuple[int, ...]:
     return canonical_labels(tuple(lu if lab == lv else lab for lab in labels))
 
 
-def retire_labels(labels: tuple[int, ...], keep: list[int]) -> tuple[tuple[int, ...], int]:
-    """Keep only the slots in ``keep``: first-slot kept labels, blocks that vanished."""
-    kept = tuple(labels[i] for i in keep)
-    return canonical_labels(kept), len(set(labels)) - len(set(kept))
+def retire_labels(labels: tuple[int, ...], keep: list[int]) -> tuple[int, ...]:
+    """Keep only the slots in ``keep``, renamed to first-slot labels."""
+    return canonical_labels(tuple(labels[i] for i in keep))
 
 
 def hyperbola_verdicts_by_fractions(table, t: Fraction) -> tuple[bool, bool, bool]:

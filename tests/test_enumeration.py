@@ -11,8 +11,8 @@ from mstlength.cli import HYPERBOLA_POINTS
 from mstlength.coefficients import all_routes, route_failures
 from mstlength.enumeration import (
     _DIGIT_BITS,
-    _DONE_RADIX,
     _LABEL_DTYPE,
+    _RANK_RADIX,
     RankTable,
     build_rank_table,
     check_hyperbola_identities,
@@ -200,12 +200,10 @@ def _assert_first_slot_form(rows: np.ndarray) -> None:
 
 
 def _assert_retire_matches_oracle(rows: list[tuple[int, ...]], drops: list[int]) -> None:
-    kept, completed = _retire_rows(_stack(rows), drops)
+    kept = _retire_rows(_stack(rows), drops)
     keep = [i for i in range(len(rows[0])) if i not in drops]
     _assert_first_slot_form(kept)
-    assert [(tuple(k), c) for k, c in zip(kept.tolist(), completed.tolist())] == [
-        retire_labels(r, keep) for r in rows
-    ]
+    assert [tuple(k) for k in kept.tolist()] == [retire_labels(r, keep) for r in rows]
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,17 +285,18 @@ def test_peak_states_are_pinned(monkeypatch, g, peak):
 
 def test_key_words_hold_to_the_edge_limit():
     # A Graph's edges touch at most 2 * MAX_EDGES vertices: that bounds the
-    # frontier width, every label (below the width) and the completed count.
+    # frontier width and every label (below the width); the rank, a count of
+    # forest edges, is at most MAX_EDGES.
     vertices = 2 * MAX_EDGES
-    assert vertices <= np.iinfo(_LABEL_DTYPE).max and vertices < _DONE_RADIX
+    assert vertices <= np.iinfo(_LABEL_DTYPE).max and vertices < _RANK_RADIX
     for width in range(vertices + 1):
         layout = _key_layout(width)
         assert [j for start, stop, _ in layout for j in range(start, stop)] == list(range(width))
         for start, stop, places in layout:
-            # slot j holds at most j; the completed count leads word 0
+            # slot j holds at most j; the rank leads word 0
             top = sum(j * int(p) for j, p in zip(range(start, stop), places))
             if start == 0:
-                top += _DONE_RADIX - 1
+                top += _RANK_RADIX - 1
             assert top < 1 << 63
     assert len(_key_layout(18)) == 1 and len(_key_layout(19)) == 2
 
@@ -314,7 +313,7 @@ def _key_words(states: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...
     """Each state's key words, checked to be int64 and nonnegative."""
     keys = _state_keys(
         _stack([labels for labels, _ in states]),
-        np.array([done for _, done in states], dtype=_LABEL_DTYPE),
+        np.array([rank for _, rank in states], dtype=_LABEL_DTYPE),
     )
     assert len(keys) == len(_key_layout(len(states[0][0])))
     assert all(key.dtype == np.int64 and (key >= 0).all() for key in keys)
@@ -323,7 +322,7 @@ def _key_words(states: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...
 
 @pytest.mark.parametrize("width", range(8))
 def test_state_keys_tell_every_small_state_apart(width):
-    states = [(r, d) for r in _all_first_slot_rows(width) for d in (0, 1, 62, _DONE_RADIX - 1)]
+    states = [(r, d) for r in _all_first_slot_rows(width) for d in (0, 1, 62, _RANK_RADIX - 1)]
     assert len(set(_key_words(states))) == len(states)
 
 
@@ -333,13 +332,13 @@ def test_state_keys_are_equal_exactly_for_equal_states(data):
     width = data.draw(st.integers(1, 40))
     rows = data.draw(_first_slot_rows(st.just(width), max_rows=4))
     states = [(r, data.draw(st.integers(0, 63))) for r in rows]
-    # near-misses: one slot or the count changed, and exact copies
-    for labels, done in list(states):
+    # near-misses: one slot or the rank changed, and exact copies
+    for labels, rank in list(states):
         j = data.draw(st.integers(0, width - 1))
         bumped = labels[:j] + (data.draw(st.integers(0, j)),) + labels[j + 1 :]
-        states.append((canonical_labels(bumped), done))
+        states.append((canonical_labels(bumped), rank))
         states.append((labels, data.draw(st.integers(0, 63))))
-        states.append((labels, done))
+        states.append((labels, rank))
     # the all-singleton row has the largest digit in every slot
     states.append((tuple(range(width)), 63))
     words = _key_words(states)
