@@ -41,7 +41,6 @@ from .errors import (
     EnumerationCapError,
     FrontierOverflowError,
     GraphConstructionError,
-    GraphParseError,
     MstLengthError,
     RouteDisagreementError,
 )
@@ -93,20 +92,13 @@ def _emit(args: argparse.Namespace, payload: dict, plain_lines: list[str]) -> No
             print(line)
 
 
-def _rational_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     result = expected_mst_length(g, cap=args.cap)
-    exact = _rational_str(result.expectation)
     plain = [
         f"n = {result.n}, m = {result.m}",
         f"p(t) coefficients: {list(result.polynomial.coefficients)}",
-        f"E[L] = {exact} = {result.decimal(args.digits)}",
+        f"E[L] = {result.expectation!s} = {result.decimal(args.digits)}",
     ]
     _emit(args, result.to_json_dict(args.digits), plain)
     return EXIT_OK
@@ -217,7 +209,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         verdict = compare(exact, estimate, args.z_threshold)
         payload.update(verdict.to_json_dict())
         plain.append(
-            f"exact = {_rational_str(exact)}, z = {verdict.z:.3f}, "
+            f"exact = {exact!s}, z = {verdict.z:.3f}, "
             f"{'pass' if verdict.passed else 'FAIL'} at threshold {verdict.threshold}"
         )
         if not verdict.passed:
@@ -239,7 +231,7 @@ def cmd_kn_table(args: argparse.Namespace) -> int:
         delta = "" if row.delta is None else decimal_string(row.delta, 6)
         concave = "" if row.concave is None else ("concave" if row.concave else "CONVEX")
         plain.append(
-            f"{row.n:>3} {_rational_str(row.expectation):>24} "
+            f"{row.n:>3} {row.expectation!s:>24} "
             f"{decimal_string(row.expectation, args.digits):>14} {delta:>12} {concave:>10}"
         )
     plain.append(f"limit reference: zeta(3) = {ZETA3_DISPLAY}...")
@@ -337,15 +329,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphParseError, GraphConstructionError, DisconnectedGraphError) as exc:
-        return _fail(EXIT_INPUT, str(exc))
     except (EnumerationCapError, FrontierOverflowError) as exc:
         return _fail(EXIT_CAP, str(exc))
     except (CorruptRankTableError, RouteDisagreementError) as exc:
         return _fail(EXIT_INTERNAL, str(exc))
-    except MstLengthError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    except ValueError as exc:
+    except (MstLengthError, ValueError) as exc:
         return _fail(EXIT_INPUT, str(exc))
 
 

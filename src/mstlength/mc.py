@@ -188,13 +188,12 @@ def _simulate_blocks(
     n: int,
     edges: tuple[tuple[int, int], ...],
     seed: int,
-    first_block: int,
     first_trial: int,
     last_trial: int,
 ) -> np.ndarray:
     """MST lengths for trials [first_trial, last_trial) of the global stream."""
     lengths = []
-    block = first_block
+    block = first_trial // BLOCK_TRIALS
     trial = first_trial
     while trial < last_trial:
         row_lo = trial - block * BLOCK_TRIALS
@@ -220,7 +219,7 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
     n_blocks = -(-trials // BLOCK_TRIALS)
     workers = min(threads, n_blocks, os.cpu_count() or 1)
     if workers <= 1:
-        per_trial = _simulate_blocks(g.n, g.edges, seed, 0, 0, trials)
+        per_trial = _simulate_blocks(g.n, g.edges, seed, 0, trials)
     else:
         # Split on block boundaries only; concatenation in block order makes
         # the gathered lengths identical to the serial run.
@@ -232,7 +231,6 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
                     g.n,
                     g.edges,
                     seed,
-                    bounds[i],
                     bounds[i] * BLOCK_TRIALS,
                     min(bounds[i + 1] * BLOCK_TRIALS, trials),
                 )

@@ -155,6 +155,13 @@ def test_verify_disconnected_exit_2(tmp_path, capsys):
     assert code == 2 and "connected" in err
 
 
+def test_compute_refuses_a_graph_with_too_few_edges_to_connect(tmp_path, capsys):
+    doc = tmp_path / "huge.txt"
+    doc.write_text("20000000 1\n0 1\n")
+    code, out, err = run_cli(capsys, "compute", str(doc))
+    assert code == 2 and "connected" in err and out == ""
+
+
 def test_census_k32(capsys):
     code, out, _ = run_cli(capsys, "census", "--gen", "bipartite", "3", "2")
     assert code == 0

@@ -113,6 +113,12 @@ def test_is_connected():
     assert not is_connected(Graph(4, ((0, 1), (2, 3))))
 
 
+def test_is_connected_refuses_more_vertices_than_edges_can_join():
+    g = Graph(10**12, ((0, 1),))
+    assert not is_connected(g)
+    assert "adjacency" not in vars(g)
+
+
 @given(graphs())
 def test_is_connected_matches_kirchhoff(g):
     assert is_connected(g) == (spanning_tree_count_kirchhoff(g) > 0)

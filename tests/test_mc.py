@@ -160,7 +160,7 @@ def test_simulate_matches_reference_per_trial():
     ranges = [(0, 1), (0, BLOCK_TRIALS), (BLOCK_TRIALS - 300, BLOCK_TRIALS + 500)]
     for g in graphs:
         for first, last in ranges:
-            lengths = _simulate_blocks(g.n, g.edges, seed, first // BLOCK_TRIALS, first, last)
+            lengths = _simulate_blocks(g.n, g.edges, seed, first, last)
             expected = _reference_lengths(g, seed, first, last)
             assert [x.hex() for x in lengths] == [x.hex() for x in expected], (g, first, last)
 
