@@ -9,10 +9,9 @@ The table comes from a partition sweep over the edge list.  Edges are taken or
 skipped one at a time while tracking the partition of "active" vertices (those
 with edges still pending) plus the rank, the number of forest edges taken, so
 the 2^m subsets are aggregated by distributivity instead of visited one by
-one.  The
-counts are exact integers; the cost grows with the number of partition states
-on the frontier, not with 2^m, which makes dense graphs such as the 28-edge
-complete graph on 8 vertices cheap on a single core.
+one.  The counts are exact integers; the cost grows with the number of
+partition states on the frontier, not with 2^m, which makes dense graphs such
+as the 28-edge complete graph on 8 vertices cheap on a single core.
 
 A partition is spelled by first-slot names, as in frontier-based search
 (Kawahara-Inoue-Iwashita-Minato, 2017): one label per active vertex, the
