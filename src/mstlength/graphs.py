@@ -74,7 +74,7 @@ def is_connected(g: Graph) -> bool:
     """True when a depth-first search from vertex 0 reaches every vertex.
 
     m edges join at most m + 1 vertices, so a graph with more vertices is
-    refused before its adjacency is built.
+    disconnected; that is answered before its adjacency is built.
     """
     if g.n > g.m + 1:
         return False
