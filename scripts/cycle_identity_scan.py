@@ -59,7 +59,7 @@ def main() -> None:
     for name, g in corpus():
         census = build_census(g, max_cycle_len=min(max_i, g.n))
         for i in range(7, min(max_i, g.n) + 1):
-            report = cycle_transform_report(census, g.m, i)
+            report = cycle_transform_report(census, i)
             print(
                 f"{name:>24} {report.i:>3} {report.transform:>14} "
                 f"{report.transform_all_cycles:>16} {report.cycle_count:>8} "

@@ -26,7 +26,6 @@ from .enumeration import (
     check_integrand_ratio,
     direct_integrand,
     min_subgraph_rank,
-    tutte_integrand,
     tutte_polynomial,
 )
 from .errors import (
@@ -41,7 +40,6 @@ from .errors import (
 from .exactpoly import (
     BivariatePolynomial,
     IntPolynomial,
-    Rational,
     binomial,
     decimal_string,
 )

@@ -109,7 +109,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     if not is_connected(g):
         raise DisconnectedGraphError("coefficients are defined for connected graphs")
     table = build_rank_table(g, cap=args.cap)
-    routes = all_routes(g, table, build_census(g))
+    routes = all_routes(table, build_census(g))
     wanted = ROUTES if args.route == "all" else (args.route,)
     payload = {
         "n": g.n,
@@ -144,7 +144,7 @@ def _verify_checks(g: Graph, cap: int) -> list[tuple[str, bool]]:
         ("full-edge-set-rank", table.counts.get((g.m, g.n - 1)) == 1 and len(table.row(g.m)) == 1)
     )
 
-    routes = all_routes(g, table, census)
+    routes = all_routes(table, census)
     checks.append(("route-agreement", not route_failures(table, routes)))
 
     p = routes[ROUTE_DIRECT].integrand()
@@ -170,7 +170,7 @@ def _verify_checks(g: Graph, cap: int) -> list[tuple[str, bool]]:
     )
     for i in range(3, 7):
         checks.append(
-            (f"cycle-identities@i={i}", check_cycle_identities(g, table, census, i))
+            (f"cycle-identities@i={i}", check_cycle_identities(table, census, i))
         )
     return checks
 
@@ -249,6 +249,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _DigitCount(argparse.Action):
+    """Refuse a ``--digits`` value outside 0..``sys.get_int_max_str_digits()``.
+
+    The bound is the longest integer the interpreter renders as a string (0
+    there lifts it); the refusal comes while parsing, before any graph is built.
+    """
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        top = sys.get_int_max_str_digits()
+        if value < 0 or 0 < top < value:
+            bound = f"in 0..{top}" if top else "nonnegative"
+            raise argparse.ArgumentError(self, f"must be {bound}, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_common(parser: argparse.ArgumentParser, graph_source: bool = True) -> None:
     parser.add_argument(
         "--format", choices=("json", "plain"), default="json", help="output format"
@@ -259,7 +274,9 @@ def _add_common(parser: argparse.ArgumentParser, graph_source: bool = True) -> N
         default=DEFAULT_EDGE_CAP,
         help=f"enumeration edge cap (default {DEFAULT_EDGE_CAP})",
     )
-    parser.add_argument("--digits", type=int, default=10, help="decimal digits in renderings")
+    parser.add_argument(
+        "--digits", type=int, action=_DigitCount, default=10, help="decimal digits in renderings"
+    )
     if graph_source:
         parser.add_argument(
             "source", nargs="?", help="edge-list file, or '-' for stdin"

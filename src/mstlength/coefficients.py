@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .census import SubgraphCensus
-from .enumeration import RankTable, direct_integrand, min_subgraph_rank, tutte_integrand
+from .enumeration import RankTable, direct_integrand, min_subgraph_rank
 from .errors import RouteDisagreementError
 from .exactpoly import IntPolynomial
-from .graphs import Graph
 
 ROUTE_DIRECT = "direct"
 ROUTE_EQ2 = "eq2"
@@ -44,7 +43,6 @@ STRUCTURAL_MAX_INDEX = 6
 class CoefficientVector:
     """Coefficients a_0..a_m from one route; None where the route is undefined."""
 
-    route: str
     a: tuple[int | None, ...]
 
     def integrand(self) -> IntPolynomial:
@@ -96,16 +94,16 @@ def coeff_from_nullities(table: RankTable, i: int) -> int:
     return _alternating_sum(table.nullity_sums, table.m, i, 3)
 
 
-def coeff_structural(g: Graph, census: SubgraphCensus, i: int) -> int:
+def coeff_structural(census: SubgraphCensus, i: int) -> int:
     """a_i for i <= 6 in terms of graph structure alone."""
     if i < 0:
         raise ValueError(f"coefficient index must be nonnegative, got {i}")
     if i > STRUCTURAL_MAX_INDEX:
         raise ValueError(f"no structural formula for i = {i} (defined for i <= 6)")
     if i == 0:
-        return g.n
+        return census.n
     if i == 1:
-        return -g.m
+        return -census.m
     if i == 2:
         return 0
     if i in (3, 4):
@@ -133,14 +131,13 @@ def correction_terms(census: SubgraphCensus) -> dict[int, int]:
     }
 
 
-def _cycle_sums(
-    census: SubgraphCensus, m: int, top: int, *, all_cycles: bool = False
-) -> tuple[int, ...]:
+def _cycle_sums(census: SubgraphCensus, top: int, *, all_cycles: bool = False) -> tuple[int, ...]:
     """X_l = sum_j c_j C(m-j, l-j) for l = 0..top: cycles plus free edges.
 
     The inner sum starts at the minimum rank for l edges, or at 3 when
     ``all_cycles`` is set; X_l is 0 for l > m, where no l edges exist.
     """
+    m = census.m
     rows = _pascal_rows(m)
     sums = tuple(
         sum(
@@ -161,16 +158,10 @@ def check_rank_cycle_correction(table: RankTable, census: SubgraphCensus, l: int
     if not 3 <= l <= 6:
         raise ValueError(f"correction identity is stated for l = 3..6, got {l}")
     lhs = table.nullity_sums[l] if l <= table.m else 0
-    return lhs == _cycle_sums(census, table.m, l)[l] - correction_terms(census)[l]
+    return lhs == _cycle_sums(census, l)[l] - correction_terms(census)[l]
 
 
-def cycle_transform_value(
-    census: SubgraphCensus,
-    m: int,
-    i: int,
-    *,
-    all_cycles: bool = False,
-) -> int:
+def cycle_transform_value(census: SubgraphCensus, i: int, *, all_cycles: bool = False) -> int:
     """Alternating binomial transform of cycles-plus-free-edges counts.
 
     Evaluates sum_{l=3}^i (-1)^{i-l} C(m-l, m-i) sum_j c_j C(m-j, m-l) with
@@ -187,15 +178,10 @@ def cycle_transform_value(
             f"cycle transform at i = {i} needs cycle counts up to {i}, "
             f"census scanned up to {census.max_cycle_len}"
         )
-    return _alternating_sum(_cycle_sums(census, m, i, all_cycles=all_cycles), m, i, 3)
+    return _alternating_sum(_cycle_sums(census, i, all_cycles=all_cycles), census.m, i, 3)
 
 
-def check_cycle_identities(
-    g: Graph,
-    table: RankTable,
-    census: SubgraphCensus,
-    i: int,
-) -> bool:
+def check_cycle_identities(table: RankTable, census: SubgraphCensus, i: int) -> bool:
     """Conjunction of the two census-side coefficient identities at index i.
 
     (a) the cycle transform collapses to c_i, and (b) the corrected form
@@ -205,7 +191,7 @@ def check_cycle_identities(
     if not 3 <= i <= 6:
         raise ValueError(f"cycle identities are stated for i = 3..6, got {i}")
     m = table.m
-    transform_ok = cycle_transform_value(census, m, i) == census.cycle_count(i)
+    transform_ok = cycle_transform_value(census, i) == census.cycle_count(i)
     d = correction_terms(census)
     corrected = census.cycle_count(i) - _alternating_sum(
         tuple(d.get(l, 0) for l in range(i + 1)), m, i, 3
@@ -236,12 +222,12 @@ class CycleTransformReport:
         return self.transform_all_cycles == self.cycle_count
 
 
-def cycle_transform_report(census: SubgraphCensus, m: int, i: int) -> CycleTransformReport:
+def cycle_transform_report(census: SubgraphCensus, i: int) -> CycleTransformReport:
     """Evaluate both cycle-transform readings at any i >= 3 and report."""
     return CycleTransformReport(
         i=i,
-        transform=cycle_transform_value(census, m, i),
-        transform_all_cycles=cycle_transform_value(census, m, i, all_cycles=True),
+        transform=cycle_transform_value(census, i),
+        transform_all_cycles=cycle_transform_value(census, i, all_cycles=True),
         cycle_count=census.cycle_count(i),
     )
 
@@ -251,23 +237,19 @@ def _coefficients_of(p: IntPolynomial, m: int) -> tuple[int, ...]:
     return tuple(p.coefficient(i) + (i == 0) for i in range(m + 1))
 
 
-def all_routes(
-    g: Graph,
-    table: RankTable,
-    census: SubgraphCensus,
-) -> dict[str, CoefficientVector]:
+def all_routes(table: RankTable, census: SubgraphCensus) -> dict[str, CoefficientVector]:
     """Compute every route's full coefficient vector a_0..a_m."""
     m = table.m
     structural: list[int | None] = [
-        coeff_structural(g, census, i) for i in range(min(STRUCTURAL_MAX_INDEX, m) + 1)
+        coeff_structural(census, i) for i in range(min(STRUCTURAL_MAX_INDEX, m) + 1)
     ]
     vectors = {
         ROUTE_DIRECT: _coefficients_of(direct_integrand(table), m),
         ROUTE_EQ2: tuple(coeff_from_component_sums(table, i) for i in range(m + 1)),
-        ROUTE_RANK: _coefficients_of(tutte_integrand(table), m),
+        ROUTE_RANK: _coefficients_of(table.rank_integrand, m),
         ROUTE_STRUCTURAL: tuple(structural + [None] * (m + 1 - len(structural))),
     }
-    return {name: CoefficientVector(name, a) for name, a in vectors.items()}
+    return {name: CoefficientVector(a) for name, a in vectors.items()}
 
 
 def route_failures(table: RankTable, routes: dict[str, CoefficientVector]) -> list[str]:
@@ -291,22 +273,21 @@ def route_failures(table: RankTable, routes: dict[str, CoefficientVector]) -> li
 
 
 def verify_route_agreement(
-    g: Graph,
-    table: RankTable,
-    census: SubgraphCensus,
+    table: RankTable, census: SubgraphCensus
 ) -> dict[str, CoefficientVector]:
     """Compute all routes and insist they agree; returns them on success.
 
     Disagreement means a bug somewhere, so the error carries every vector for
     inspection.
     """
-    routes = all_routes(g, table, census)
+    routes = all_routes(table, census)
     failures = route_failures(table, routes)
     if failures:
         detail = ", ".join(
             f"{name}={list(vec.a)}" for name, vec in sorted(routes.items())
         )
         raise RouteDisagreementError(
-            f"coefficient routes disagree ({', '.join(failures)}) on n={g.n}, m={g.m}: {detail}"
+            f"coefficient routes disagree ({', '.join(failures)}) "
+            f"on n={table.n}, m={table.m}: {detail}"
         )
     return routes

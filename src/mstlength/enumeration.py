@@ -131,7 +131,12 @@ class RankTable:
 
     @cached_property
     def rank_integrand(self) -> IntPolynomial:
-        """p_rank(t): T_x at (1/t, 1/(1-t)) times t^{n-2} (1-t)^{m-n+2}, built on first use."""
+        """p_rank(t): T_x at (1/t, 1/(1-t)) times t^{n-2} (1-t)^{m-n+2}, built on first use.
+
+        This is the integrand p(t) = ((1-t)/t) T_x/T at (x, y) = (1/t, 1/(1-t))
+        (Steele's formula): there T = t^{1-n} (1-t)^{n-1-m}, so the factor T
+        folds into the powers of t and 1-t.
+        """
         return _along_hyperbola(self.tutte_x, self.n - 2, self.m - self.n + 2)
 
     def spanning_tree_count(self) -> int:
@@ -453,15 +458,6 @@ def _along_hyperbola(poly: BivariatePolynomial, nx: int, ny: int) -> IntPolynomi
         acc = [c + a - b for c, a, b in zip(column, acc, [0] + acc)]
     scaled = IntPolynomial(acc)
     return scaled.divide_exact(IntPolynomial((1, -1)) ** k) if k else scaled
-
-
-def tutte_integrand(table: RankTable) -> IntPolynomial:
-    """Integrand p(t) = ((1-t)/t) T_x/T at (x, y) = (1/t, 1/(1-t)) (Steele's formula).
-
-    There T = t^{1-n} (1-t)^{n-1-m}, so p(t) is T_x scaled by t^{n-2} (1-t)^{m-n+2}:
-    the table's ``rank_integrand``, built once per table.
-    """
-    return table.rank_integrand
 
 
 def _hyperbola_sides(table: RankTable, t: Fraction) -> tuple[Fraction, Fraction, Fraction]:

@@ -1,9 +1,9 @@
 """Exact arithmetic carriers: rationals, integer polynomials, bivariate polynomials.
 
 Rationals are ``fractions.Fraction`` (always lowest terms, positive
-denominator), re-exported as ``Rational``.  Univariate integer polynomials are
-dense coefficient tuples; bivariate ones are sparse ``(x_deg, y_deg) -> coeff``
-maps.  No floating point anywhere in this module.
+denominator).  Univariate integer polynomials are dense coefficient tuples;
+bivariate ones are sparse ``(x_deg, y_deg) -> coeff`` maps.  No floating
+point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InexactDivisionError
-
-Rational = Fraction
 
 
 def binomial(a: int, b: int) -> int:

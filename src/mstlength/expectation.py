@@ -57,7 +57,7 @@ def expected_mst_length(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> MstExpectat
         )
     table = build_rank_table(g, cap=cap)
     census = build_census(g)
-    routes = verify_route_agreement(g, table, census)
+    routes = verify_route_agreement(table, census)
     polynomial = routes[ROUTE_DIRECT].integrand()
     return MstExpectation(
         n=g.n,

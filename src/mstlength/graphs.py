@@ -15,6 +15,14 @@ from .errors import GraphConstructionError, GraphParseError
 MAX_EDGES = 63
 
 
+def _check_edge_count(m: int) -> None:
+    """Refuse a graph of m edges above ``MAX_EDGES``, before any edge is built."""
+    if m > MAX_EDGES:
+        raise GraphConstructionError(
+            f"graph has {m} edges, more than the {MAX_EDGES}-edge limit"
+        )
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1`` with an ordered edge list.
@@ -29,11 +37,8 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise GraphConstructionError(f"vertex count must be positive, got {self.n}")
+        _check_edge_count(len(self.edges))
         edges = tuple((min(u, v), max(u, v)) for u, v in self.edges)
-        if len(edges) > MAX_EDGES:
-            raise GraphConstructionError(
-                f"graph has {len(edges)} edges, more than the {MAX_EDGES}-edge limit"
-            )
         seen = set()
         for u, v in edges:
             if u == v:
@@ -65,9 +70,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edge_set
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
 
 def is_connected(g: Graph) -> bool:
@@ -158,6 +160,7 @@ def complete_graph(n: int) -> Graph:
     """K_n: vertices 0..n-1, edges (i, j) for i < j in lexicographic order."""
     if n < 1:
         raise GraphConstructionError(f"complete graph needs n >= 1, got {n}")
+    _check_edge_count(n * (n - 1) // 2)
     return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -165,6 +168,7 @@ def bipartite_graph(a: int, b: int) -> Graph:
     """K_{a,b}: parts 0..a-1 and a..a+b-1, edges in lexicographic order."""
     if a < 1 or b < 1:
         raise GraphConstructionError(f"bipartite parts must be >= 1, got {a}, {b}")
+    _check_edge_count(a * b)
     return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
 
 
@@ -172,6 +176,7 @@ def cycle_graph(n: int) -> Graph:
     """C_n: path edges (i, i+1) plus the closing edge (0, n-1); needs n >= 3."""
     if n < 3:
         raise GraphConstructionError(f"cycle needs n >= 3 to stay a simple graph, got {n}")
+    _check_edge_count(n)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
 
 
@@ -179,6 +184,7 @@ def path_graph(n: int) -> Graph:
     """P_n: vertices 0..n-1, edges (i, i+1)."""
     if n < 1:
         raise GraphConstructionError(f"path needs n >= 1, got {n}")
+    _check_edge_count(n - 1)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 

@@ -91,7 +91,7 @@ def test_criterion_2_route_equivalence_sweep(sweep):
     started = time.monotonic()
     checked = 0
     for g, table, census in sweep:
-        routes = verify_route_agreement(g, table, census)  # raises on any mismatch
+        routes = verify_route_agreement(table, census)  # raises on any mismatch
         a = routes["eq2"].a
         assert a[0] == g.n and a[1] == -g.m
         if g.m >= 2:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from mstlength import cli, enumeration, expectation
+from mstlength.census import build_census
 from mstlength.cli import HYPERBOLA_POINTS, main
+from mstlength.coefficients import all_routes, route_failures
 from mstlength.enumeration import RankTable, build_rank_table
-from mstlength.graphs import bipartite_graph, path_graph
+from mstlength.graphs import bipartite_graph, complete_graph, path_graph
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -148,6 +151,23 @@ def test_verify_reports_failures_when_a_cell_passes_the_nullity(capsys, monkeypa
     assert out.splitlines()[-1] == "CHECK FAILURES PRESENT"
 
 
+def test_verify_reports_a_corrupted_census(capsys, monkeypatch):
+    g = complete_graph(5)
+    census = build_census(g)
+    corrupted = dataclasses.replace(census, k4=census.k4 + 1)
+    monkeypatch.setattr(cli, "build_census", lambda g: corrupted)
+    code, out, _ = run_cli(capsys, "verify", "--gen", "complete", "5")
+    payload = json.loads(out)
+    assert code == 4 and payload["all_pass"] is False
+    assert [c["name"] for c in payload["checks"] if not c["pass"]] == [
+        "route-agreement",
+        "rank-cycle-correction@l=6",
+        "cycle-identities@i=6",
+    ]
+    table = build_rank_table(g)
+    assert route_failures(table, all_routes(table, corrupted)) == ["structural"]
+
+
 def test_verify_disconnected_exit_2(tmp_path, capsys):
     doc = tmp_path / "disc.txt"
     doc.write_text("4 2\n0 1\n2 3\n")
@@ -265,6 +285,38 @@ def test_kn_table_edge_limit_refusal_before_any_row(capsys, monkeypatch):
     assert time.monotonic() - started < 1.0
     assert code == 2 and out == ""
     assert "63-edge limit" in err
+
+
+def test_generator_edge_limit_refusal_before_building(capsys, monkeypatch):
+    _no_rows(monkeypatch)
+    monkeypatch.setattr(cli, "expected_mst_length", expectation.expected_mst_length)
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "compute", "--gen", "path", "3000000")
+    assert time.monotonic() - started < 1.0
+    assert code == 2 and out == ""
+    assert "63-edge limit" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["compute", "--gen", "complete", "3"], ["kn-table", "--max-n", "4"]]
+)
+@pytest.mark.parametrize("digits", ["-1", str(sys.get_int_max_str_digits() + 1)])
+def test_digits_out_of_range_refused_while_parsing(capsys, monkeypatch, command, digits):
+    _no_rows(monkeypatch)
+    monkeypatch.setattr(cli, "expected_mst_length", expectation.expected_mst_length)
+    with pytest.raises(SystemExit) as rejected:
+        main([*command, "--digits", digits])
+    captured = capsys.readouterr()
+    assert rejected.value.code == 2 and captured.out == ""
+    assert f"must be in 0..{sys.get_int_max_str_digits()}, got {digits}" in captured.err
+
+
+def test_digits_at_the_ends_of_the_range(capsys):
+    top = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "compute", "--gen", "complete", "3", "--digits", "0")
+    assert code == 0 and json.loads(out)["expectation"]["decimal"] == "1"
+    code, out, _ = run_cli(capsys, "compute", "--gen", "complete", "3", "--digits", str(top))
+    assert code == 0 and json.loads(out)["expectation"]["decimal"] == "0.75" + "0" * (top - 2)
 
 
 def test_gen_round_trip(capsys):

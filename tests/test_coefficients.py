@@ -13,7 +13,7 @@ from mstlength.coefficients import (
     cycle_transform_report,
     verify_route_agreement,
 )
-from mstlength.enumeration import build_rank_table, direct_integrand, tutte_integrand
+from mstlength.enumeration import build_rank_table, direct_integrand
 from mstlength.errors import RouteDisagreementError
 from mstlength.graphs import bipartite_graph, complete_graph, cycle_graph, path_graph
 
@@ -35,10 +35,10 @@ def test_component_sum_route_k32(k32):
 
 def test_rank_route_examples():
     k3 = complete_graph(3)
-    assert tutte_integrand(build_rank_table(k3)).coefficient(3) == 1
+    assert build_rank_table(k3).rank_integrand.coefficient(3) == 1
     c4 = cycle_graph(4)
-    assert tutte_integrand(build_rank_table(c4)).coefficient(4) == 1
-    assert tutte_integrand(build_rank_table(c4)).coefficient(2) == 0
+    assert build_rank_table(c4).rank_integrand.coefficient(4) == 1
+    assert build_rank_table(c4).rank_integrand.coefficient(2) == 0
 
 
 def test_nullity_route_examples(k32):
@@ -53,15 +53,15 @@ def test_nullity_route_examples(k32):
 
 def test_structural_route_examples(k32):
     g, _, census = k32
-    assert coeff_structural(g, census, 3) == 0
-    assert coeff_structural(g, census, 6) == -1
+    assert coeff_structural(census, 3) == 0
+    assert coeff_structural(census, 6) == -1
     k4 = complete_graph(4)
-    assert coeff_structural(k4, build_census(k4), 6) == 2
+    assert coeff_structural(build_census(k4), 6) == 2
     tree = path_graph(6)
     tree_census = build_census(tree)
-    assert all(coeff_structural(tree, tree_census, i) == 0 for i in range(3, 7))
+    assert all(coeff_structural(tree_census, i) == 0 for i in range(3, 7))
     with pytest.raises(ValueError):
-        coeff_structural(g, census, 7)
+        coeff_structural(census, 7)
 
 
 def test_correction_terms():
@@ -75,17 +75,17 @@ def test_correction_terms():
 
 def test_cycle_identity_examples(k32):
     g, table, census = k32
-    assert check_cycle_identities(g, table, census, 6)
+    assert check_cycle_identities(table, census, 6)
     k4 = complete_graph(4)
-    assert check_cycle_identities(k4, build_rank_table(k4), build_census(k4), 5)
+    assert check_cycle_identities(build_rank_table(k4), build_census(k4), 5)
     k3 = complete_graph(3)
-    assert check_cycle_identities(k3, build_rank_table(k3), build_census(k3), 3)
+    assert check_cycle_identities(build_rank_table(k3), build_census(k3), 3)
 
 
 def test_cycle_transform_experimental_reports_only():
     # On the plain 7-cycle both readings trivially reproduce c_7.
     c7 = cycle_graph(7)
-    report = cycle_transform_report(build_census(c7, max_cycle_len=7), c7.m, 7)
+    report = cycle_transform_report(build_census(c7, max_cycle_len=7), 7)
     assert isinstance(report, CycleTransformReport)
     assert report.matches and report.matches_all_cycles and report.cycle_count == 1
 
@@ -93,7 +93,7 @@ def test_cycle_transform_experimental_reports_only():
     # triangles at l = 7), while the all-cycles reading does; the report
     # records both without failing anything.  Values pinned for regression.
     k7 = complete_graph(7)
-    report = cycle_transform_report(build_census(k7, max_cycle_len=7), k7.m, 7)
+    report = cycle_transform_report(build_census(k7, max_cycle_len=7), 7)
     assert not report.matches
     assert report.matches_all_cycles
     assert (report.transform, report.transform_all_cycles, report.cycle_count) == (
@@ -107,13 +107,13 @@ def test_cycle_transform_readings_agree_up_to_six():
     for g in (complete_graph(6), bipartite_graph(3, 3), cycle_graph(6)):
         census = build_census(g)
         for i in range(3, 7):
-            report = cycle_transform_report(census, g.m, i)
+            report = cycle_transform_report(census, i)
             assert report.transform == report.transform_all_cycles
 
 
 def test_all_routes_k32(k32):
     g, table, census = k32
-    routes = all_routes(g, table, census)
+    routes = all_routes(table, census)
     expected = (5, -6, 0, 0, 3, 0, -1)
     assert routes["direct"].a == expected
     assert routes["eq2"].a == expected
@@ -123,7 +123,7 @@ def test_all_routes_k32(k32):
 
 def test_structural_vector_has_nulls_beyond_six():
     g = complete_graph(5)
-    routes = all_routes(g, build_rank_table(g), build_census(g))
+    routes = all_routes(build_rank_table(g), build_census(g))
     assert routes["structural"].a[6] is not None
     assert all(v is None for v in routes["structural"].a[7:])
     assert len(routes["structural"].a) == g.m + 1
@@ -134,7 +134,7 @@ def test_structural_vector_has_nulls_beyond_six():
 def test_route_agreement_random(g):
     table = build_rank_table(g)
     census = build_census(g)
-    routes = verify_route_agreement(g, table, census)
+    routes = verify_route_agreement(table, census)
     a = routes["eq2"].a
     assert a[0] == g.n
     assert a[1] == -g.m
@@ -149,6 +149,6 @@ def test_route_disagreement_is_loud(k32):
     g, table, census = k32
     corrupted = type(table)(table.n, table.m, {**table.counts, (3, 2): 40})
     with pytest.raises(RouteDisagreementError, match="disagree") as excinfo:
-        verify_route_agreement(g, corrupted, census)
+        verify_route_agreement(corrupted, census)
     named = str(excinfo.value).split("(", 1)[1].split(")", 1)[0].split(", ")
     assert "rank" in named

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -105,6 +107,23 @@ def test_generator_errors():
         generate("what", 3)
     with pytest.raises(GraphConstructionError):
         generate("bipartite", 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: complete_graph(10**6),
+        lambda: bipartite_graph(10**5, 10**5),
+        lambda: cycle_graph(10**9),
+        lambda: path_graph(10**9),
+    ],
+    ids=["complete", "bipartite", "cycle", "path"],
+)
+def test_generators_refuse_before_building_edges(build):
+    started = time.monotonic()
+    with pytest.raises(GraphConstructionError, match="more than the 63-edge limit"):
+        build()
+    assert time.monotonic() - started < 1.0
 
 
 def test_is_connected():
