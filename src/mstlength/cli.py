@@ -264,19 +264,36 @@ class _DigitCount(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
-def _add_common(parser: argparse.ArgumentParser, graph_source: bool = True) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser,
+    *,
+    cap: bool = False,
+    digits: bool = False,
+    graph_source: bool = True,
+) -> None:
+    """Register ``--format``, the graph source, and ``--cap``/``--digits`` if asked.
+
+    A command registers ``--cap`` only if it enumerates and ``--digits`` only if
+    it renders decimals, so argparse rejects a flag that the command would ignore.
+    """
     parser.add_argument(
         "--format", choices=("json", "plain"), default="json", help="output format"
     )
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_EDGE_CAP,
-        help=f"enumeration edge cap (default {DEFAULT_EDGE_CAP})",
-    )
-    parser.add_argument(
-        "--digits", type=int, action=_DigitCount, default=10, help="decimal digits in renderings"
-    )
+    if cap:
+        parser.add_argument(
+            "--cap",
+            type=int,
+            default=DEFAULT_EDGE_CAP,
+            help=f"enumeration edge cap (default {DEFAULT_EDGE_CAP})",
+        )
+    if digits:
+        parser.add_argument(
+            "--digits",
+            type=int,
+            action=_DigitCount,
+            default=10,
+            help="decimal digits in renderings",
+        )
     if graph_source:
         parser.add_argument(
             "source", nargs="?", help="edge-list file, or '-' for stdin"
@@ -299,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="integrand polynomial and exact expectation")
-    _add_common(p)
+    _add_common(p, cap=True, digits=True)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("coeffs", help="coefficient vectors per route")
-    _add_common(p)
+    _add_common(p, cap=True)
     p.add_argument(
         "--route", choices=ROUTES + ("all",), default="all", help="which route to print"
     )
@@ -314,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run the full exact-identity check suite")
-    _add_common(p)
+    _add_common(p, cap=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate (and compare when exact is in reach)")
-    _add_common(p)
+    _add_common(p, cap=True)
     p.add_argument("--trials", type=int, default=100_000, help="number of trials")
     p.add_argument("--seed", type=int, default=0, help="generator seed, 0 <= seed < 2**64")
     p.add_argument("--threads", type=int, default=1, help="worker processes for the trials")
@@ -328,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("kn-table", help="exact E[L(K_n)] table with differences")
-    _add_common(p, graph_source=False)
+    _add_common(p, cap=True, digits=True, graph_source=False)
     p.add_argument("--max-n", type=int, default=8, help="largest complete graph")
     p.set_defaults(func=cmd_kn_table)
 

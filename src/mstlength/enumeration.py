@@ -29,6 +29,15 @@ of one row each: the labels as an int8 matrix, the ranks, and an object array
 of packed big-int counts.  Equal children of a step are found by sorting
 mixed-radix int64 keys of (labels, rank) and are summed with one
 ``np.add.reduceat``.
+
+A state's counts are packed by nullity, the exponent of v in the rank
+generating polynomial R(u, v): 64-bit digit nu of a rank-r state counts its
+(r + nu)-edge subsets.  A skip child keeps its parent's int, the take child of
+an edge that joins two blocks gains an edge and a rank, so it is the parent's
+int unchanged, and only an edge inside a block (a loop) shifts the int by one
+digit.  A digit counts subsets of at most m edges of one size, so it is at
+most C(m, r + nu) <= C(63, 31) < 2^63 and no digit carries; an int holds at
+most m - n + c + 1 digits for a graph with c components.
 """
 
 from __future__ import annotations
@@ -270,9 +279,10 @@ def _sweep_edge_order(g: Graph) -> list[int]:
     )
 
 
-# Each state's per-edge-count counts are packed into one big int, 64 bits per
-# edge count.  Digit l counts l-edge subsets of the edges swept so far, so it is
-# at most C(m, l) <= C(63, 31) < 2^63 within graphs.MAX_EDGES: no digit carries.
+# Each state's counts are packed into one big int, 64 bits per nullity.  Digit
+# nu of a rank-r state counts (r + nu)-edge subsets of the edges swept so far,
+# so it is at most C(m, r + nu) <= C(63, 31) < 2^63 within graphs.MAX_EDGES: no
+# digit carries.
 _DIGIT_BITS = 64
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 
@@ -282,16 +292,20 @@ def _combine_counts(
 ) -> np.ndarray:
     """One step's count arithmetic: the packed counts of the merged children.
 
-    Every state has a skip child in its own row.  Where the edge joins two
-    blocks (``joins``) the take child, shifted one digit, follows after all
-    skip children; elsewhere both children are one state, counted in place.
-    ``order`` sorts the children by key and ``starts`` opens each run of
-    equal keys.  ``vec`` itself is updated in place.
+    The counts are packed by nullity.  Every state has a skip child in its own
+    row.  Where the edge joins two blocks (``joins``) the take child gains one
+    edge and one rank, so its nullity and its int are the parent's; it follows
+    after all skip children.  Elsewhere the taken edge closes a cycle and adds
+    one to the nullity: both children are one state, counted in place as the
+    int plus the int shifted one digit.  A digit nu of a rank-r child counts
+    (r + nu)-edge subsets, at most C(63, 31) < 2^63, so no sum carries.
+    ``order`` sorts the children by key and ``starts`` opens each run of equal
+    keys.  ``vec`` itself is updated in place.
     """
     closes = ~joins
     loops = vec[closes]
     vec[closes] = loops + (loops << _DIGIT_BITS)
-    children = np.concatenate((vec, vec[joins] << _DIGIT_BITS))
+    children = np.concatenate((vec, vec[joins]))
     return np.add.reduceat(children[order], starts)
 
 
@@ -349,13 +363,13 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     # Every vertex has retired, so each state is its rank alone.
     counts: dict[tuple[int, int], int] = {}
     for r, packed in zip(rank.tolist(), vec):
-        l = 0
+        nullity = 0
         while packed:
             digit = packed & _DIGIT_MASK
             if digit:
-                counts[(l, r)] = digit
+                counts[(r + nullity, r)] = digit
             packed >>= _DIGIT_BITS
-            l += 1
+            nullity += 1
     return counts
 
 

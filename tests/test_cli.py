@@ -226,6 +226,27 @@ def test_threads_is_a_simulate_option_only(capsys):
     assert code == 0 and json.loads(out)["trials"] == 2000
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["census", "--gen", "complete", "3"], ["--cap", "0"]),
+        (["census", "--gen", "complete", "3"], ["--digits", "7"]),
+        (["coeffs", "--gen", "complete", "3"], ["--digits", "7"]),
+        (["verify", "--gen", "complete", "3"], ["--digits", "7"]),
+        (["simulate", "--gen", "complete", "3", "--trials", "100"], ["--digits", "7"]),
+    ],
+    ids=["census-cap", "census-digits", "coeffs-digits", "verify-digits", "simulate-digits"],
+)
+def test_flags_a_command_would_ignore_are_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as rejected:
+        main([*command, *flag])
+    captured = capsys.readouterr()
+    assert rejected.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag[0]}" in captured.err
+    code, _, _ = run_cli(capsys, *command)
+    assert code == 0
+
+
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_simulate_rejects_worker_count_below_one(capsys, threads):
     code, out, err = run_cli(

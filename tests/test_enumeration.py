@@ -282,6 +282,29 @@ def test_peak_states_are_pinned(monkeypatch, g, peak):
         _frontier_counts(g)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [path_graph(19), cycle_graph(20), complete_graph(9), grid_graph(5, 5)],
+    ids=["P19", "C20", "K9", "grid5x5"],
+)
+def test_counts_are_packed_by_nullity(monkeypatch, g):
+    # A connected graph's subsets have nullity 0..m - n + 1, one digit each: a
+    # tree's counts fit one digit and a cycle's two, whatever the edge count.
+    widest = []
+    combine = enumeration._combine_counts
+
+    def recording_combine(vec, joins, order, starts):
+        merged = combine(vec, joins, order, starts)
+        widest.append(max(count.bit_length() for count in merged))
+        return merged
+
+    monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
+    counts = _frontier_counts(g)
+    assert len(widest) == g.m
+    assert max(widest) <= _DIGIT_BITS * (g.m - g.n + 2)
+    assert counts[(g.m, g.n - 1)] == 1
+
+
 def test_key_words_hold_to_the_edge_limit():
     # A Graph's edges touch at most 2 * MAX_EDGES vertices: that bounds the
     # frontier width and every label (below the width); the rank, a count of
