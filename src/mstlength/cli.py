@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -86,7 +87,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def _emit(args: argparse.Namespace, payload: dict, plain_lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload))
+        print(json.dumps(payload, allow_nan=False))
     else:
         for line in plain_lines:
             print(line)
@@ -264,6 +265,19 @@ class _DigitCount(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+class _ZThreshold(argparse.Action):
+    """Refuse a ``--z-threshold`` that is not a finite number above 0.
+
+    NaN would fail every comparison and infinity pass every one, and neither
+    is a JSON number; the refusal comes while parsing, before any trial runs.
+    """
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentError(self, f"must be finite and > 0, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_common(
     parser: argparse.ArgumentParser,
     *,
@@ -340,7 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="generator seed, 0 <= seed < 2**64")
     p.add_argument("--threads", type=int, default=1, help="worker processes for the trials")
     p.add_argument(
-        "--z-threshold", type=float, default=4.0, help="pass threshold in stderr units"
+        "--z-threshold",
+        type=float,
+        action=_ZThreshold,
+        default=4.0,
+        help="pass threshold in stderr units, finite and > 0",
     )
     p.set_defaults(func=cmd_simulate)
 

@@ -12,11 +12,12 @@ Every weight is an integer tick on the 2**-53 lattice, as numpy's
 tick matrix, a row per trial.  Kruskal runs across all of its rows at once
 (``_mst_lengths``): each tick is packed with its edge index into one integer
 sort key, one in-place row sort ranks every row's edges, then the rank columns
-are taken in turn, each one a handful of array operations over the rows still
-short of a spanning tree, with one flat union-find array holding every row's
-vertices.  Each row adds its accepted weights in rank order, exactly as the
-scalar reference ``mst_length_for_weights`` does, so every per-trial length is
-the same float.
+are taken in turn, each one a handful of array operations over every row.
+Components are kept as a label matrix, one contiguous row of labels per edge
+endpoint and a column per trial: an accepted edge renames the larger of its two
+labels to the smaller in its trial's column.  Each row adds its accepted weights
+in rank order, exactly as the scalar reference ``mst_length_for_weights`` does,
+so every per-trial length is the same float.
 
 Floating point is confined to this module; everything exact lives elsewhere.
 """
@@ -106,24 +107,6 @@ def mst_length_for_weights(g: Graph, weights: list[float]) -> float:
     return total
 
 
-def _roots(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Union-find roots of the flat slots x, halving every path on the way up.
-
-    The slots in x lie in different rows, so all of them step at once.  Only
-    the slots not yet at a root step (``lag`` indexes them in x); x is
-    overwritten with the roots and returned.
-    """
-    p = parent[x]
-    lag = np.flatnonzero(p != x)
-    while lag.size:
-        grandparent = parent[p[lag]]
-        parent[x[lag]] = grandparent
-        x[lag] = grandparent
-        p[lag] = parent[grandparent]
-        lag = lag[p[lag] != grandparent]
-    return x
-
-
 def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], ticks: np.ndarray) -> np.ndarray:
     """MST length of every row of ``ticks`` (uint64, shape (rows, m)), by Kruskal.
 
@@ -136,52 +119,52 @@ def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], ticks: np.ndarray) 
     sort puts its edges in the reference's total order: by weight, ties going
     to the lower edge index.
 
-    Column k of the sorted keys is then each row's k-th lightest edge: one
-    gather gives the edge (key & 63) and its weight ((key >> 6) * 2**-53,
-    exact, as the tick is below 2**53).  The columns are taken in turn across
-    the live rows, those still short of n - 1 tree edges; row r's vertices own
-    slots r*n .. r*n+n-1 of one flat union-find array.  It stays intp, the
-    type numpy indexes with: an int32 array would be cast to intp by every
-    gather and scatter.  An accepted edge adds its weight to its row's total,
-    so every total sums the same weights in the same order as
-    ``mst_length_for_weights`` and is bit-identical to it.  A row that never
-    gets n - 1 tree edges (a disconnected graph) ends with its spanning
-    forest's length, as the reference does.
+    Trial r's components are column r of a label matrix ``comp`` that has
+    one contiguous row per edge endpoint, so every operation runs along the
+    trial axis.  Only endpoints are labelled: a Graph has at most
+    2 * MAX_EDGES = 126 of them, so every label (0..125) and every difference
+    of two labels fits in int8, whatever n is.  Column k of the sorted keys is
+    each trial's k-th lightest edge: one gather gives the edge (key & 63) and
+    its weight ((key >> 6) * 2**-53, exact, as the tick is below 2**53), two
+    more give its endpoints' labels cu and cv.  Where they differ the edge
+    joins two components: its weight is added to the trial's total, and
+    ``comp -= (comp == hi) * (hi - lo)``, hi and lo the larger and smaller of
+    cu and cv, renames hi to lo in that trial's column (a no-op where they
+    are equal).  So every total sums the same weights in the same order as
+    ``mst_length_for_weights`` and is bit-identical to it.  The columns stop
+    once every trial has n - 1 tree edges; every later edge of a finished
+    trial is a loop, so it stays in the matrix and adds nothing.  A trial
+    that never gets n - 1 tree edges (a disconnected graph) ends with its
+    spanning forest's length, as the reference does.
     """
     rows, m = ticks.shape
     keys = ticks.view(np.int64)
     keys <<= 6
     keys |= np.arange(m)
     keys.sort(axis=1)
-    flat_keys = keys.ravel()
-    ends = np.array(edges, dtype=np.intp).reshape(m, 2)
-    eu, ev = ends[:, 0], ends[:, 1]
-    parent = np.arange(rows * n)
-    lengths = np.zeros(rows)
-    live = np.arange(rows)
-    cell, base = live * m, live * n  # each live row's first key and slot
+    label: dict[int, int] = {}  # endpoints numbered in order of first appearance
+    ends = [label.setdefault(w, len(label)) for edge in edges for w in edge]
+    comp = np.repeat(np.arange(len(label), dtype=np.int8)[:, None], rows, axis=1)
+    flat = comp.ravel()
+    first = np.array(ends, dtype=np.intp).reshape(m, 2) * rows  # each end's first cell in flat
+    fu, fv = first[:, 0], first[:, 1]
+    row = np.arange(rows)
     total = np.zeros(rows)
     picked = np.zeros(rows, dtype=np.intp)
     for k in range(m):
-        key = flat_keys[cell + k]
+        key = keys[:, k]
         e = key & 63
-        u = _roots(parent, base + eu[e])
-        v = _roots(parent, base + ev[e])
-        join = u != v
+        cu = flat[fu[e] + row]
+        cv = flat[fv[e] + row]
+        join = cu != cv
         np.add(total, (key >> 6) * 2**-53, out=total, where=join)
-        parent[u] = v  # a no-op where u == v
+        hi = np.maximum(cu, cv)
+        lo = np.minimum(cu, cv)
+        comp -= (comp == hi) * (hi - lo)
         picked += join
-        done = picked == n - 1
-        if done.any():
-            finished = np.flatnonzero(done)
-            lengths[live[finished]] = total[finished]
-            keep = np.flatnonzero(~done)
-            live, total, picked = live[keep], total[keep], picked[keep]
-            if not live.size:
-                break
-            cell, base = live * m, live * n
-    lengths[live] = total
-    return lengths
+        if k >= n - 2 and (picked == n - 1).all():
+            break
+    return total
 
 
 def _simulate_blocks(
@@ -271,7 +254,7 @@ class McComparison:
         return {
             "exact_num": str(self.exact.numerator),
             "exact_den": str(self.exact.denominator),
-            "z_vs_exact": self.z,
+            "z_vs_exact": self.z if math.isfinite(self.z) else None,
             "threshold": self.threshold,
             "pass": self.passed,
         }

@@ -272,6 +272,31 @@ def test_simulate_seed_reproducibility(capsys):
     assert json.loads(out1) == json.loads(out2)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_simulate_infinite_z_is_null_in_json(capsys):
+    # One trial has stderr 0 and a nonzero gap, so z is infinite: JSON says
+    # null there, plain output keeps inf, and both fail the comparison.
+    argv = ["simulate", "--gen", "complete", "4", "--trials", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out, parse_constant=_no_constant)
+    assert code == 1
+    assert payload["z_vs_exact"] is None and payload["pass"] is False
+    code, out, _ = run_cli(capsys, *argv, "--format", "plain")
+    assert code == 1 and "z = inf, FAIL" in out
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
+def test_simulate_z_threshold_refused_while_parsing(capsys, threshold):
+    with pytest.raises(SystemExit) as rejected:
+        main(["simulate", "--gen", "complete", "4", "--trials", "100", "--z-threshold", threshold])
+    captured = capsys.readouterr()
+    assert rejected.value.code == 2 and captured.out == ""
+    assert "--z-threshold: must be finite and > 0" in captured.err
+
+
 def test_kn_table(capsys):
     code, out, _ = run_cli(capsys, "kn-table", "--max-n", "5")
     assert code == 0

@@ -231,6 +231,36 @@ def test_kernel_key_width_at_the_edge_limit():
     assert lengths[0] == 0.0
 
 
+def _k4_and_path(n: int, path_start: int, path_edges: int) -> Graph:
+    """K_4 on vertices 256..259 and a path from path_start, on n vertices."""
+    k4 = tuple((256 + u, 256 + v) for u, v in complete_graph(4).edges)
+    path = tuple((v, v + 1) for v in range(path_start, path_start + path_edges))
+    return Graph(n, k4 + path)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path_graph(64),
+        Graph(126, tuple((2 * i, 2 * i + 1) for i in range(MAX_EDGES))),
+        _k4_and_path(300, 260, 39),
+        _k4_and_path(600, 512, 10),
+    ],
+    ids=["P64", "matching63", "K4+path-300", "K4+path-600"],
+)
+def test_kernel_labels_fit_every_graph(g):
+    # Only edge endpoints are labelled: P_64's labels reach 63, and a 63-edge
+    # matching's reach 125, the most any graph has.  The other two are
+    # disconnected graphs with every endpoint above 255.  In the 600-vertex
+    # one the K_4 and the path start 256 apart, so int8 labels indexed by
+    # vertex number would give vertices 256 and 512 the same label and see
+    # the path's first edges as loops.
+    ticks = np.random.default_rng(5).integers(0, 8, size=(1000, g.m), dtype=np.uint64) << 50
+    lengths = _mst_lengths(g.n, g.edges, ticks.copy())
+    expected = [mst_length_for_weights(g, (row * 2**-53).tolist()) for row in ticks]
+    assert lengths.tolist() == expected
+
+
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraphError):
         simulate(Graph(4, ((0, 1), (2, 3))), 10, seed=0)
