@@ -5,7 +5,7 @@ E[L(G)] through several independent routes, cross-verifies them exactly, and
 ships a seeded Monte Carlo oracle for statistical confirmation.
 """
 
-from .census import SubgraphCensus, build_census, count_cycles, diamond_count
+from .census import SubgraphCensus, build_census, count_cycles
 from .coefficients import (
     CoefficientVector,
     ROUTES,

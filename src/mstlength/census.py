@@ -10,8 +10,11 @@ rank-3 spanning subgraphs, which ties this module to the rank table.
 and K_{3,2} counts off one set of products of the adjacency matrix
 (Harary-Manvel for c3..c5, the antipodal 3-path pairs of Alon-Yuster-Zwick
 for c6, common-neighbour counts for the rest), with no cycle enumeration.
-The walk-based counters (``count_cycles``, ``count_chorded_cycles``, ...)
-stay as the independent oracle and serve cycle lengths above 6.
+That is the only algorithm here for each of those counts: ``count_k4``,
+``count_k32``, ``count_chorded_cycles`` and ``count_chorded_cycles_plus_edge``
+each return one field of ``build_census``.  The cycle walk (``count_cycles``)
+serves only cycle lengths above 6 and is the oracle c3..c6 are tested
+against; the chorded-cycle walk is a test oracle, not part of the package.
 """
 
 from __future__ import annotations
@@ -66,43 +69,24 @@ def count_cycles(g: Graph, max_len: int) -> dict[int, int]:
     return counts
 
 
-def _cycles_of_length(g: Graph, length: int) -> list[tuple[int, ...]]:
-    """All cycles of exactly this length, as canonical vertex sequences."""
-    return [cycle for cycle in _walk_cycles(g, length) if len(cycle) == length]
-
-
-def _chords(cycle: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Vertex pairs of the cycle that are not consecutive on it."""
-    length = len(cycle)
-    out = []
-    for a in range(length):
-        for b in range(a + 1, length):
-            if b - a != 1 and not (a == 0 and b == length - 1):
-                out.append((cycle[a], cycle[b]))
-    return out
-
-
-def _present_chords(g: Graph, cycle: tuple[int, ...]) -> int:
-    """Number of the cycle's chords that are edges of g."""
-    return sum(1 for u, v in _chords(cycle) if g.has_edge(u, v))
-
-
 def count_chorded_cycles(g: Graph, length: int) -> int:
-    """Number of (cycle of given length, present chord) incidence pairs."""
-    return sum(_present_chords(g, cycle) for cycle in _cycles_of_length(g, length))
+    """Number of (cycle, present chord) incidence pairs: c41 or c51.
+
+    Read off the census's adjacency products (``_adjacency_counts``); only
+    lengths 4 and 5 are counted there.
+    """
+    if length not in (4, 5):
+        raise ValueError(f"chorded cycles are counted for lengths 4 and 5, not {length}")
+    return build_census(g).chorded_cycles[length]
 
 
 def count_chorded_cycles_plus_edge(g: Graph) -> int:
-    """Triples (4-cycle, present chord, extra edge).
+    """Triples (4-cycle, present chord, extra edge): cbar41.
 
     The extra edge ranges over edges of g that are neither on the cycle nor a
-    chord of that same cycle.
+    chord of that same cycle.  Read off the census (see ``build_census``).
     """
-    total = 0
-    for cycle in _cycles_of_length(g, 4):
-        chords = _present_chords(g, cycle)
-        total += chords * (g.m - 4 - chords)
-    return total
+    return build_census(g).chorded_plus_edge
 
 
 def count_k4(g: Graph) -> int:
@@ -124,14 +108,6 @@ def count_k32(g: Graph) -> int:
     products (``_adjacency_counts``).
     """
     return build_census(g).k32
-
-
-def diamond_count(g: Graph) -> int:
-    """4-cycles with a present chord: the only 5-edge rank-3 subgraph shape.
-
-    Read off the census's adjacency products (``_adjacency_counts``), as c41.
-    """
-    return build_census(g).diamonds
 
 
 @dataclass(frozen=True)

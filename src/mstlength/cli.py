@@ -29,6 +29,7 @@ from .coefficients import (
     check_cycle_identities,
     check_rank_cycle_correction,
     route_failures,
+    verify_route_agreement,
 )
 from .enumeration import (
     DEFAULT_EDGE_CAP,
@@ -110,7 +111,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     if not is_connected(g):
         raise DisconnectedGraphError("coefficients are defined for connected graphs")
     table = build_rank_table(g, cap=args.cap)
-    routes = all_routes(table, build_census(g))
+    routes = verify_route_agreement(table, build_census(g))
     wanted = ROUTES if args.route == "all" else (args.route,)
     payload = {
         "n": g.n,

@@ -261,7 +261,13 @@ class McComparison:
 
 
 def compare(exact: Fraction, estimate: McEstimate, z_threshold: float = 4.0) -> McComparison:
-    """Report |mean - exact| in standard-error units against a z threshold."""
+    """Report |mean - exact| in standard-error units against a z threshold.
+
+    The threshold must be finite and above 0: NaN would fail every comparison
+    and infinity pass every one.
+    """
+    if not (math.isfinite(z_threshold) and z_threshold > 0):
+        raise ValueError(f"z_threshold must be finite and > 0, got {z_threshold}")
     gap = abs(estimate.mean - float(exact))
     if estimate.stderr > 0:
         z = gap / estimate.stderr

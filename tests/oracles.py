@@ -1,13 +1,17 @@
 """Independent oracles used as ground truth.
 
 Each keeps its own naive algorithm on purpose: none of them shares code with
-the library paths they check.
+the library paths they check.  The chorded-cycle walk builds on the library's
+cycle DFS, which the census never uses for c41, c51 or cbar41 (those come
+from adjacency products) and which is itself checked against
+``count_cycles_brute``.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
 
+from mstlength.census import _walk_cycles
 from mstlength.graphs import Graph
 
 
@@ -109,6 +113,39 @@ def count_k32_brute(g: Graph) -> int:
             three = tuple(v for v in five if v not in two)
             if all(g.has_edge(u, v) for u in three for v in two):
                 total += 1
+    return total
+
+
+def _present_chords(g: Graph, cycle: tuple[int, ...]) -> int:
+    """Number of the cycle's chords (non-consecutive vertex pairs) that are edges of g."""
+    length = len(cycle)
+    return sum(
+        1
+        for a, b in combinations(range(length), 2)
+        if b - a != 1 and not (a == 0 and b == length - 1) and g.has_edge(cycle[a], cycle[b])
+    )
+
+
+def _cycles_of_length(g: Graph, length: int) -> list[tuple[int, ...]]:
+    """All cycles of exactly this length, as canonical vertex sequences."""
+    return [cycle for cycle in _walk_cycles(g, length) if len(cycle) == length]
+
+
+def count_chorded_cycles_walk(g: Graph, length: int) -> int:
+    """Number of (cycle of given length, present chord) incidence pairs, by walking."""
+    return sum(_present_chords(g, cycle) for cycle in _cycles_of_length(g, length))
+
+
+def count_chorded_cycles_plus_edge_walk(g: Graph) -> int:
+    """Triples (4-cycle, present chord, extra edge), by walking the 4-cycles.
+
+    The extra edge ranges over edges of g that are neither on the cycle nor a
+    chord of that same cycle.
+    """
+    total = 0
+    for cycle in _cycles_of_length(g, 4):
+        chords = _present_chords(g, cycle)
+        total += chords * (g.m - 4 - chords)
     return total
 
 

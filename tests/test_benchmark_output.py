@@ -51,3 +51,17 @@ def test_every_tracer_target_resolves_in_the_package():
         if not callable(found):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_harness_selftest_passes(tmp_path):
+    # traced and untraced output byte-identical, every wrapper removed after
+    # tracing, and a wrong reference reported as a failure
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "selftest ok" in proc.stdout

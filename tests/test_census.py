@@ -16,7 +16,6 @@ from mstlength.census import (
     count_cycles,
     count_k32,
     count_k4,
-    diamond_count,
 )
 from mstlength.cli import main
 from mstlength.coefficients import check_rank_cycle_correction
@@ -30,7 +29,13 @@ from mstlength.graphs import (
     path_graph,
 )
 
-from .oracles import count_cycles_brute, count_k4_brute, count_k32_brute
+from .oracles import (
+    count_chorded_cycles_plus_edge_walk,
+    count_chorded_cycles_walk,
+    count_cycles_brute,
+    count_k4_brute,
+    count_k32_brute,
+)
 from .strategies import connected_graphs, graphs, grid_graph
 
 
@@ -72,6 +77,22 @@ def test_chorded_plus_edge():
     assert count_chorded_cycles_plus_edge(complete_graph(5)) > 0
 
 
+@pytest.mark.parametrize(
+    "g", [complete_graph(6), bipartite_graph(3, 3), grid_graph(3, 4)], ids=["k6", "k33", "grid3x4"]
+)
+def test_chorded_counters_read_the_census(g):
+    census = build_census(g)
+    assert count_chorded_cycles(g, 4) == census.chorded_cycles[4]
+    assert count_chorded_cycles(g, 5) == census.chorded_cycles[5]
+    assert count_chorded_cycles_plus_edge(g) == census.chorded_plus_edge
+
+
+@pytest.mark.parametrize("length", [0, 3, 6, 7])
+def test_chorded_cycles_only_for_lengths_four_and_five(length):
+    with pytest.raises(ValueError, match="lengths 4 and 5"):
+        count_chorded_cycles(complete_graph(7), length)
+
+
 def test_k4_and_k32_counts():
     assert count_k4(bipartite_graph(3, 2)) == 0
     assert count_k32(bipartite_graph(3, 2)) == 1
@@ -100,10 +121,10 @@ def test_build_census_matches_standalone_counts(g, max_cycle_len):
     assert (census.n, census.m, census.max_cycle_len) == (g.n, g.m, max_cycle_len)
     assert census.cycles == count_cycles(g, min(max_cycle_len, g.n))
     assert census.chorded_cycles == {
-        4: count_chorded_cycles(g, 4),
-        5: count_chorded_cycles(g, 5),
+        4: count_chorded_cycles_walk(g, 4),
+        5: count_chorded_cycles_walk(g, 5),
     }
-    assert census.chorded_plus_edge == count_chorded_cycles_plus_edge(g)
+    assert census.chorded_plus_edge == count_chorded_cycles_plus_edge_walk(g)
     assert (census.k4, census.k32) == (count_k4_brute(g), count_k32_brute(g))
 
 
@@ -111,8 +132,8 @@ def _walk_census(g):
     """c3..c6, c41, c51 and cbar41 by walking every cycle: the oracle."""
     return (
         count_cycles(g, min(6, g.n)),
-        {4: count_chorded_cycles(g, 4), 5: count_chorded_cycles(g, 5)},
-        count_chorded_cycles_plus_edge(g),
+        {4: count_chorded_cycles_walk(g, 4), 5: count_chorded_cycles_walk(g, 5)},
+        count_chorded_cycles_plus_edge_walk(g),
     )
 
 
@@ -238,8 +259,8 @@ def test_long_cycle_expectation():
 
 
 def test_diamond_counts():
-    assert diamond_count(bipartite_graph(3, 2)) == 0
-    assert diamond_count(complete_graph(4)) == 6
+    assert build_census(bipartite_graph(3, 2)).diamonds == 0
+    assert build_census(complete_graph(4)).diamonds == 6
     for n in (4, 5, 6):
         census = build_census(complete_graph(n))
         assert census.diamonds == 2 * census.cycles[4]
@@ -249,7 +270,7 @@ def test_diamond_counts():
 @given(connected_graphs(max_n=7, max_m=14))
 def test_diamond_equals_rank_table_cell(g):
     table = build_rank_table(g)
-    assert diamond_count(g) == count_chorded_cycles(g, 4) == table.counts.get((5, 3), 0)
+    assert build_census(g).diamonds == count_chorded_cycles_walk(g, 4) == table.counts.get((5, 3), 0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -134,6 +134,16 @@ def test_verify_reports_failures_on_a_corrupted_table(capsys, monkeypatch):
     ]
 
 
+def test_coeffs_exits_4_when_the_routes_disagree(capsys, monkeypatch):
+    table = build_rank_table(bipartite_graph(3, 2))
+    corrupted = RankTable(table.n, table.m, {**table.counts, (3, 2): 40})
+    monkeypatch.setattr(cli, "build_rank_table", lambda g, cap: corrupted)
+    code, out, err = run_cli(capsys, "coeffs", "--gen", "bipartite", "3", "2")
+    assert code == 4 and out == ""
+    assert "coefficient routes disagree (rank, structural, nullity)" in err
+    assert all(f"{route}=[" in err for route in ("direct", "eq2", "rank", "structural"))
+
+
 def test_verify_reports_failures_when_a_cell_passes_the_nullity(capsys, monkeypatch):
     # One count of P_5 moved from (3, 3) to (3, 2): a cycle in a tree.  The
     # Tutte polynomial then has a y-term above the graph's nullity 0.

@@ -291,6 +291,12 @@ def test_compare_zero_stderr():
     assert not off.passed and math.isinf(off.z)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+def test_compare_refuses_a_threshold_that_is_not_finite_and_positive(threshold):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        compare(Fraction(1, 2), McEstimate(10, 0, 0.5, 0.1, 0.1, 0.9), threshold)
+
+
 def test_json_record():
     est = simulate(complete_graph(3), 100, seed=4)
     record = est.to_json_dict()
