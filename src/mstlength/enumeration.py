@@ -254,17 +254,20 @@ def _state_keys(labels: np.ndarray, rank: np.ndarray) -> list[np.ndarray]:
 
 
 def _sweep_edge_order(g: Graph) -> list[int]:
-    """Edge processing order that retires vertices early: BFS-position sort."""
+    """Edge processing order that retires vertices early: BFS-position sort.
+
+    Each BFS starts at the lowest-index vertex of least degree not yet reached
+    (the Cuthill-McKee start), so K_{4,6} is swept from its 6-vertex side.
+    """
     position = [-1] * g.n
     counter = 0
-    for root in range(g.n):
+    for root in sorted(range(g.n), key=lambda w: len(g.adjacency[w])):
         if position[root] != -1:
             continue
         position[root] = counter
         counter += 1
         queue = [root]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:  # reads the queue by index as it grows
             for w in g.adjacency[u]:
                 if position[w] == -1:
                     position[w] = counter
@@ -373,16 +376,36 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     return counts
 
 
+def _is_forest(g: Graph) -> bool:
+    """Whether g has no cycle: no edge joins two vertices already joined."""
+    root = list(range(g.n))
+    for u, v in g.edges:
+        while root[u] != u:
+            u = root[u]
+        while root[v] != v:
+            v = root[v]
+        if u == v:
+            return False
+        root[u] = v
+    return True
+
+
 def build_rank_table(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> RankTable:
     """Count spanning subgraphs of g by (edge count, rank) over all 2^m subsets.
 
-    Runs the partition sweep; graphs with more than ``cap`` edges are refused,
-    and so is a sweep whose frontier outgrows ``MAX_FRONTIER_STATES``.  The
-    table is validated before it is returned: a table that fails is a bug in
-    the sweep, raised as ``CorruptRankTableError``.
+    A forest's table is closed-form; any other graph runs the partition sweep.
+    Graphs with more than ``cap`` edges are refused, and so is a sweep whose
+    frontier outgrows ``MAX_FRONTIER_STATES``.  The table is validated before
+    it is returned: a table that fails is a bug in the sweep, raised as
+    ``CorruptRankTableError``.
     """
     _check_cap(g.m, cap)
-    table = RankTable(g.n, g.m, _frontier_counts(g))
+    if _is_forest(g):
+        # every subset of a forest's edges is a forest: l edges have rank l
+        counts = {(l, l): binomial(g.m, l) for l in range(g.m + 1)}
+    else:
+        counts = _frontier_counts(g)
+    table = RankTable(g.n, g.m, counts)
     try:
         table.validate()
     except ValueError as exc:

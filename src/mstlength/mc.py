@@ -29,6 +29,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -220,11 +221,12 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
                 for i in range(workers)
             ]
             per_trial = np.concatenate([future.result() for future in futures])
-    lengths = per_trial.tolist()
-
-    mean = math.fsum(lengths) / trials
+    mean = math.fsum(per_trial.tolist()) / trials
     if trials > 1:
-        variance = math.fsum((x - mean) ** 2 for x in lengths) / (trials - 1)
+        # numpy subtracts float64s as Python floats do, and pow(d, 2) is the
+        # same C float_pow as d ** 2: every term is the float a loop would make.
+        squares = map(pow, (per_trial - mean).tolist(), repeat(2))
+        variance = math.fsum(squares) / (trials - 1)
         stderr = math.sqrt(variance / trials)
     else:
         stderr = 0.0
@@ -233,8 +235,8 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
         seed=seed,
         mean=mean,
         stderr=stderr,
-        min_length=min(lengths),
-        max_length=max(lengths),
+        min_length=float(per_trial.min()),
+        max_length=float(per_trial.max()),
     )
 
 

@@ -59,6 +59,14 @@ def graphs(draw, max_n: int = 7, max_m: int | None = None) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
+@st.composite
+def forests(draw, max_n: int = 12) -> Graph:
+    """Random forest: each vertex after the first hangs from an earlier one or starts a tree."""
+    n = draw(st.integers(1, max_n))
+    parents = [draw(st.one_of(st.none(), st.integers(0, v - 1))) for v in range(1, n)]
+    return Graph(n, tuple((p, v) for v, p in enumerate(parents, 1) if p is not None))
+
+
 def grid_graph(rows: int, cols: int) -> Graph:
     """The rows x cols grid, vertices numbered row by row."""
     edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]

@@ -47,7 +47,7 @@ from .oracles import (
     tutte_polynomial_networkx,
     tutte_polynomial_whitney,
 )
-from .strategies import block_graphs, connected_graphs, graphs, grid_graph
+from .strategies import block_graphs, connected_graphs, forests, graphs, grid_graph
 
 
 def test_min_subgraph_rank_values():
@@ -268,8 +268,14 @@ def test_budget_refusal_stops_inside_the_step(monkeypatch):
 
 @pytest.mark.parametrize(
     "g, peak",
-    [(complete_graph(8), 1080), (grid_graph(5, 5), 463), (cycle_graph(20), 20)],
-    ids=["K8", "grid5x5", "C20"],
+    [
+        (complete_graph(8), 1080),
+        (grid_graph(5, 5), 463),
+        (cycle_graph(20), 20),
+        # rooted on the 6-vertex side, of degree 4; the 4-vertex side gave 1232
+        (bipartite_graph(4, 6), 190),
+    ],
+    ids=["K8", "grid5x5", "C20", "K4_6"],
 )
 def test_peak_states_are_pinned(monkeypatch, g, peak):
     # a sweep holds each partition state once: its peak is the budget it needs
@@ -303,6 +309,46 @@ def test_counts_are_packed_by_nullity(monkeypatch, g):
     assert len(widest) == g.m
     assert max(widest) <= _DIGIT_BITS * (g.m - g.n + 2)
     assert counts[(g.m, g.n - 1)] == 1
+
+
+# a 20-vertex spine with 21 legs: a 40-edge tree
+_CATERPILLAR = Graph(
+    41, tuple((i, i + 1) for i in range(19)) + tuple((i % 20, 20 + i) for i in range(21))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests())
+@example(Graph(5, ()))
+@example(_CATERPILLAR)
+def test_forest_table_matches_the_sweep(g):
+    # disconnected, isolated-vertex and edgeless forests as well
+    assert enumeration._is_forest(g)
+    assert build_rank_table(g, cap=g.m).counts == _frontier_counts(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=8, max_m=12))
+def test_is_forest_reads_the_full_rank(g):
+    # a graph is a forest exactly when its full edge set has rank m
+    assert enumeration._is_forest(g) == (_frontier_counts(g).get((g.m, g.m)) == 1)
+
+
+@pytest.mark.parametrize(
+    "g", [path_graph(19), _CATERPILLAR, path_graph(MAX_EDGES + 1)], ids=["P19", "caterpillar", "P64"]
+)
+def test_trees_take_no_sweep_step(monkeypatch, g):
+    steps = []
+    combine = enumeration._combine_counts
+
+    def recording_combine(*args):
+        steps.append(args)
+        return combine(*args)
+
+    monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
+    # every subset of a tree's edges is a forest
+    assert build_rank_table(g, cap=g.m).counts == {(l, l): binomial(g.m, l) for l in range(g.m + 1)}
+    assert steps == []
 
 
 def test_key_words_hold_to_the_edge_limit():
