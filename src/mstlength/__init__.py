@@ -37,12 +37,7 @@ from .errors import (
     MstLengthError,
     RouteDisagreementError,
 )
-from .exactpoly import (
-    BivariatePolynomial,
-    IntPolynomial,
-    binomial,
-    decimal_string,
-)
+from .exactpoly import IntPolynomial, binomial, decimal_string
 from .expectation import (
     KnRow,
     MstExpectation,

@@ -55,8 +55,8 @@ from .errors import (
     EnumerationCapError,
     FrontierOverflowError,
 )
-from .exactpoly import BivariatePolynomial, IntPolynomial, binomial
-from .graphs import Graph
+from .exactpoly import IntPolynomial, binomial
+from .graphs import Graph, find
 
 DEFAULT_EDGE_CAP = 28
 
@@ -124,14 +124,14 @@ class RankTable:
         )
 
     @cached_property
-    def tutte(self) -> BivariatePolynomial:
+    def tutte(self) -> dict[tuple[int, int], int]:
         """The Tutte polynomial T(x, y) of the table, built on first use."""
         return tutte_polynomial(self)
 
     @cached_property
-    def tutte_x(self) -> BivariatePolynomial:
+    def tutte_x(self) -> dict[tuple[int, int], int]:
         """T_x, the partial derivative of T in x, built on first use."""
-        return self.tutte.partial_x()
+        return {(i - 1, j): i * c for (i, j), c in self.tutte.items() if i}
 
     @cached_property
     def tau(self) -> IntPolynomial:
@@ -378,15 +378,12 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
 
 def _is_forest(g: Graph) -> bool:
     """Whether g has no cycle: no edge joins two vertices already joined."""
-    root = list(range(g.n))
+    parent = list(range(g.n))
     for u, v in g.edges:
-        while root[u] != u:
-            u = root[u]
-        while root[v] != v:
-            v = root[v]
-        if u == v:
+        ru, rv = find(parent, u), find(parent, v)
+        if ru == rv:
             return False
-        root[u] = v
+        parent[ru] = rv
     return True
 
 
@@ -451,14 +448,15 @@ def _taylor_shift(rows: list[list[int]]) -> list[list[int]]:
     return rows
 
 
-def tutte_polynomial(table: RankTable) -> BivariatePolynomial:
+def tutte_polynomial(table: RankTable) -> dict[tuple[int, int], int]:
     """Tutte polynomial from the rank table by two Taylor shifts.
 
     The Whitney rank sum reads T(x, y) = R(x-1, y-1) for the rank generating
     polynomial R(u, v) = sum over cells of k_r^l u^{(n-1)-r} v^{l-r}.  R is
     filled as an integer grid, sized by the table's own cells, then shifted by
-    -1 in u and in v.  Requires a table built from a connected graph (so the
-    graph itself has rank n-1).
+    -1 in u and in v.  T comes back as its nonzero coefficients,
+    ``{(x_deg, y_deg): c}``.  Requires a table built from a connected graph (so
+    the graph itself has rank n-1).
     """
     _require_connected(table)
     top = table.n - 1
@@ -468,12 +466,10 @@ def tutte_polynomial(table: RankTable) -> BivariatePolynomial:
     for (l, r), count in table.counts.items():
         grid[top - r][l - r] += count
     by_y = _taylor_shift([list(column) for column in zip(*_taylor_shift(grid))])
-    return BivariatePolynomial(
-        {(i, j): c for j, row in enumerate(by_y) for i, c in enumerate(row) if c}
-    )
+    return {(i, j): c for j, row in enumerate(by_y) for i, c in enumerate(row) if c}
 
 
-def _along_hyperbola(poly: BivariatePolynomial, nx: int, ny: int) -> IntPolynomial:
+def _along_hyperbola(poly: dict[tuple[int, int], int], nx: int, ny: int) -> IntPolynomial:
     """sum c_ij t^{nx-i} (1-t)^{ny-j} for poly = sum c_ij x^i y^j (i <= nx).
 
     That is poly at (x, y) = (1/t, 1/(1-t)), on the hyperbola (x-1)(y-1) = 1,
@@ -485,9 +481,9 @@ def _along_hyperbola(poly: BivariatePolynomial, nx: int, ny: int) -> IntPolynomi
     result is divided by (1-t)^k, exactly: each cell (l, r) of the table adds a
     multiple of (1-t)^(m-l) to the sum, so any table with l <= m divides.
     """
-    k = max(0, max((j for _, j in poly.terms), default=0) - ny)
+    k = max(0, max((j for _, j in poly), default=0) - ny)
     columns = [[0] * (nx + ny + k + 1) for _ in range(ny + k + 1)]
-    for (i, j), c in poly.terms.items():
+    for (i, j), c in poly.items():
         columns[j][nx - i] = c
     acc = [0] * (nx + ny + k + 1)
     for column in columns:

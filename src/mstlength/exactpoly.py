@@ -1,16 +1,15 @@
-"""Exact arithmetic carriers: rationals, integer polynomials, bivariate polynomials.
+"""Exact arithmetic carriers: rationals and integer polynomials.
 
 Rationals are ``fractions.Fraction`` (always lowest terms, positive
-denominator).  Univariate integer polynomials are dense coefficient tuples;
-bivariate ones are sparse ``(x_deg, y_deg) -> coeff`` maps.  No floating
-point anywhere in this module.
+denominator).  Integer polynomials in one variable are dense coefficient
+tuples.  No floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import InexactDivisionError
 
@@ -176,57 +175,6 @@ class IntPolynomial:
         if any(q.denominator != 1 for q in quotient):
             raise InexactDivisionError("quotient is not an integer polynomial")
         return IntPolynomial(int(q) for q in quotient)
-
-
-class BivariatePolynomial:
-    """Sparse two-variable integer polynomial: map (x_deg, y_deg) -> coefficient."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
-        cleaned = {key: c for key, c in dict(terms).items() if c != 0}
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariatePolynomial is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BivariatePolynomial):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "BivariatePolynomial({})"
-        parts = ", ".join(f"({i},{j}): {c}" for (i, j), c in sorted(self.terms.items()))
-        return f"BivariatePolynomial({{{parts}}})"
-
-    def __add__(self, other: BivariatePolynomial) -> BivariatePolynomial:
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            merged[key] = merged.get(key, 0) + c
-        return BivariatePolynomial(merged)
-
-    def evaluate(self, x, y) -> Fraction:
-        """Exact evaluation at rational (or integer) points."""
-        x = Fraction(x)
-        y = Fraction(y)
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * x**i * y**j
-        return total
-
-    def partial_x(self) -> BivariatePolynomial:
-        """Formal partial derivative with respect to the first variable."""
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self.terms.items():
-            if i > 0:
-                out[(i - 1, j)] = out.get((i - 1, j), 0) + i * c
-        return BivariatePolynomial(out)
 
 
 def decimal_string(value: Fraction, digits: int = 10) -> str:

@@ -90,6 +90,14 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
+def find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list document format.
 

@@ -34,7 +34,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DisconnectedGraphError
-from .graphs import Graph, is_connected
+from .graphs import Graph, find, is_connected
 
 BLOCK_TRIALS = 4096
 GENERATOR_ID = f"philox4x64-keyed-blocks-{BLOCK_TRIALS}"
@@ -74,14 +74,6 @@ def _block_ticks(seed: int, block: int, m: int) -> np.ndarray:
     ticks = np.random.Philox(key=key).random_raw((BLOCK_TRIALS, m))
     ticks >>= 11
     return ticks
-
-
-def find(parent: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way up."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 def mst_length_for_weights(g: Graph, weights: list[float]) -> float:

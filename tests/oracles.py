@@ -207,7 +207,7 @@ def hyperbola_verdicts_by_fractions(table, t: Fraction) -> tuple[bool, bool, boo
     n, m = table.n, table.m
 
     def at_point(poly) -> Fraction:
-        return sum((c * x**i * y**j for (i, j), c in poly.terms.items()), Fraction(0))
+        return sum((c * x**i * y**j for (i, j), c in poly.items()), Fraction(0))
 
     tutte, tutte_x = at_point(table.tutte), at_point(table.tutte_x)
     ratio = (x / (x - 1)) ** m

@@ -6,6 +6,7 @@ from mstlength.coefficients import (
     CycleTransformReport,
     all_routes,
     check_cycle_identities,
+    check_rank_cycle_correction,
     coeff_from_component_sums,
     coeff_from_nullities,
     coeff_structural,
@@ -62,6 +63,23 @@ def test_structural_route_examples(k32):
     assert all(coeff_structural(tree_census, i) == 0 for i in range(3, 7))
     with pytest.raises(ValueError):
         coeff_structural(census, 7)
+
+
+def test_census_scanned_below_six_is_refused_not_read_as_zeros():
+    # K_5 has twelve 5-cycles.  A census scanned to length 4 would read c5 as
+    # 0, so a_5 and the l = 5 identity are refused, not reported as a route
+    # disagreement or a failed identity.
+    g = complete_graph(5)
+    table, census = build_rank_table(g), build_census(g, max_cycle_len=4)
+    assert [coeff_structural(census, i) for i in (3, 4)] == [10, 15]
+    assert check_rank_cycle_correction(table, census, 4)
+    for i in (5, 6):
+        with pytest.raises(ValueError, match=f"up to {i}, census scanned up to 4"):
+            coeff_structural(census, i)
+        with pytest.raises(ValueError, match=f"up to {i}, census scanned up to 4"):
+            check_rank_cycle_correction(table, census, i)
+    with pytest.raises(ValueError, match="census scanned up to 4"):
+        verify_route_agreement(table, census)
 
 
 def test_correction_terms():

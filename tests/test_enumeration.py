@@ -27,7 +27,7 @@ from mstlength.enumeration import (
     _state_keys,
 )
 from mstlength.errors import DisconnectedGraphError, EnumerationCapError, FrontierOverflowError
-from mstlength.exactpoly import BivariatePolynomial, IntPolynomial, binomial
+from mstlength.exactpoly import IntPolynomial, binomial
 from mstlength.graphs import (
     MAX_EDGES,
     Graph,
@@ -429,15 +429,13 @@ def test_direct_integrand_examples():
 
 
 def test_tutte_small_graphs():
-    assert tutte_polynomial(build_rank_table(complete_graph(2))) == BivariatePolynomial(
-        {(1, 0): 1}
-    )
-    assert tutte_polynomial(build_rank_table(complete_graph(3))) == BivariatePolynomial(
-        {(2, 0): 1, (1, 0): 1, (0, 1): 1}
-    )
-    assert tutte_polynomial(build_rank_table(cycle_graph(4))) == BivariatePolynomial(
-        {(3, 0): 1, (2, 0): 1, (1, 0): 1, (0, 1): 1}
-    )
+    assert tutte_polynomial(build_rank_table(complete_graph(2))) == {(1, 0): 1}
+    assert tutte_polynomial(build_rank_table(complete_graph(3))) == {
+        (2, 0): 1, (1, 0): 1, (0, 1): 1
+    }
+    assert tutte_polynomial(build_rank_table(cycle_graph(4))) == {
+        (3, 0): 1, (2, 0): 1, (1, 0): 1, (0, 1): 1
+    }
 
 
 def test_tutte_requires_connected_table():
@@ -451,13 +449,13 @@ def test_tutte_requires_connected_table():
 def test_tutte_at_one_one_counts_spanning_trees(n):
     g = complete_graph(n)
     tutte = tutte_polynomial(build_rank_table(g))
-    assert tutte.evaluate(1, 1) == spanning_tree_count_kirchhoff(g)
+    assert sum(tutte.values()) == spanning_tree_count_kirchhoff(g)
 
 
 def test_tutte_at_one_one_sparse_graphs():
     for g in (cycle_graph(7), bipartite_graph(3, 3), path_graph(5)):
         tutte = tutte_polynomial(build_rank_table(g))
-        assert tutte.evaluate(1, 1) == spanning_tree_count_kirchhoff(g)
+        assert sum(tutte.values()) == spanning_tree_count_kirchhoff(g)
 
 
 def _skip_without_networkx():
@@ -473,14 +471,14 @@ def _skip_without_networkx():
 )
 def test_tutte_matches_networkx(g):
     _skip_without_networkx()
-    assert tutte_polynomial(build_rank_table(g)).terms == tutte_polynomial_networkx(g)
+    assert tutte_polynomial(build_rank_table(g)) == tutte_polynomial_networkx(g)
 
 
 @settings(max_examples=25, deadline=None)
 @given(connected_graphs(max_n=5, max_m=8))
 def test_tutte_matches_networkx_random(g):
     _skip_without_networkx()
-    assert tutte_polynomial(build_rank_table(g)).terms == tutte_polynomial_networkx(g)
+    assert tutte_polynomial(build_rank_table(g)) == tutte_polynomial_networkx(g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -491,7 +489,7 @@ def test_tutte_matches_networkx_random(g):
                     (7, 8), (7, 9), (7, 10), (8, 9), (8, 10), (9, 10), (10, 11), (11, 12))))
 def test_tutte_matches_whitney_expansion(g):
     table = build_rank_table(g, cap=40)
-    assert tutte_polynomial(table).terms == tutte_polynomial_whitney(table)
+    assert tutte_polynomial(table) == tutte_polynomial_whitney(table)
 
 
 def test_tutte_matches_whitney_on_a_cell_past_the_nullity():
@@ -500,23 +498,18 @@ def test_tutte_matches_whitney_on_a_cell_past_the_nullity():
     table = build_rank_table(path_graph(5))
     moved = RankTable(5, 4, {**table.counts, (3, 3): table.counts[(3, 3)] - 1, (3, 2): 1})
     tutte = tutte_polynomial(moved)
-    assert tutte.terms == tutte_polynomial_whitney(moved)
-    assert max(j for _, j in tutte.terms) == 1
+    assert tutte == tutte_polynomial_whitney(moved)
+    assert max(j for _, j in tutte) == 1
 
 
 def test_rank_table_builds_tutte_once(monkeypatch):
-    built, derived, along = [], [], []
-    partial_x = BivariatePolynomial.partial_x
+    built, along = [], []
     along_hyperbola = enumeration._along_hyperbola
     component_sum = RankTable.component_sum
 
     def counting(table):
         built.append(table)
         return tutte_polynomial(table)
-
-    def counting_partial_x(poly):
-        derived.append(poly)
-        return partial_x(poly)
 
     def counting_along(poly, nx, ny):
         along.append(poly)
@@ -526,19 +519,19 @@ def test_rank_table_builds_tutte_once(monkeypatch):
         raise AssertionError("p(t) rebuilt at a verify point")
 
     monkeypatch.setattr(enumeration, "tutte_polynomial", counting)
-    monkeypatch.setattr(BivariatePolynomial, "partial_x", counting_partial_x)
     monkeypatch.setattr(enumeration, "_along_hyperbola", counting_along)
     monkeypatch.setattr(enumeration, "direct_integrand", refuse)
     for g in (bipartite_graph(3, 2), cycle_graph(5)):
-        del built[:], derived[:], along[:]
+        del built[:], along[:]
         table = build_rank_table(g)
         for t in HYPERBOLA_POINTS:
             assert check_hyperbola_identities(table, t) == (True, True)
             assert check_integrand_ratio(table, t)
         table.rank_integrand
         assert built == [table]
-        assert derived == [table.tutte]
+        # T_x is derived once, and that one is what the hyperbola reads
         assert along == [table.tutte, table.tutte_x]
+        assert along[1] is table.tutte_x
 
     # every route and the agreement check read the per-row sums once per row
     monkeypatch.undo()
@@ -616,20 +609,38 @@ def test_tutte_checks_match_fraction_oracle_on_corrupted_tables(g, data):
     bumped = RankTable(g.n, g.m, {**table.counts, cell: table.counts[cell] + delta})
     verdicts = _tutte_verdicts(bumped, t)
     assert verdicts == hyperbola_verdicts_by_fractions(bumped, t)
-    assert bumped.tutte.terms == tutte_polynomial_whitney(bumped)
+    assert bumped.tutte == tutte_polynomial_whitney(bumped)
     assert not verdicts[0]  # the bump changes a row sum, and tau(t) is their weighted sum
     # a pure y^j term changes T but not T_x: only the partial form still holds
     shifted = RankTable(g.n, g.m, table.counts)
     j = data.draw(st.integers(0, g.m - g.n + 1))
-    shifted.__dict__["tutte"] = table.tutte + BivariatePolynomial({(0, j): delta})
+    shifted.__dict__["tutte"] = {**table.tutte, (0, j): table.tutte.get((0, j), 0) + delta}
     verdicts = _tutte_verdicts(shifted, t)
     assert verdicts == hyperbola_verdicts_by_fractions(shifted, t) == (False, True, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(), st.data())
+def test_tutte_and_tutte_x_are_zero_free_coefficient_maps(g, data):
+    table = build_rank_table(g)
+    # bump one cell as the corrupted-table test does, keeping the (m, n-1) cell
+    cell = data.draw(st.sampled_from(sorted(set(table.counts) - {(g.m, g.n - 1)})))
+    delta = data.draw(st.sampled_from([-1, 1, 7]))
+    bumped = RankTable(g.n, g.m, {**table.counts, cell: table.counts[cell] + delta})
+    for t in (table, bumped):
+        assert 0 not in t.tutte.values()
+        assert 0 not in t.tutte_x.values()
+        derivative = {}
+        for (i, j), c in tutte_polynomial_whitney(t).items():
+            if i > 0:
+                derivative[(i - 1, j)] = derivative.get((i - 1, j), 0) + i * c
+        assert t.tutte_x == derivative
 
 
 def test_tutte_checks_fail_on_tutte_plus_y():
     table = build_rank_table(bipartite_graph(3, 2))
     shifted = RankTable(table.n, table.m, table.counts)
-    shifted.__dict__["tutte"] = table.tutte + BivariatePolynomial({(0, 1): 1})
+    shifted.__dict__["tutte"] = {**table.tutte, (0, 1): table.tutte.get((0, 1), 0) + 1}
     assert shifted.tutte_x == table.tutte_x
     for t in HYPERBOLA_POINTS:
         assert _tutte_verdicts(table, t) == (True, True, True)

@@ -5,12 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from mstlength.errors import InexactDivisionError
-from mstlength.exactpoly import (
-    BivariatePolynomial,
-    IntPolynomial,
-    binomial,
-    decimal_string,
-)
+from mstlength.exactpoly import IntPolynomial, binomial, decimal_string
 
 from .oracles import evaluate_by_fractions
 
@@ -127,21 +122,6 @@ def test_alternating_weighted_binomial_sum_vanishes():
     for n in range(2, 31):
         assert sum((-1) ** k * binomial(n, k) * k for k in range(n + 1)) == 0
     assert sum((-1) ** k * binomial(1, k) * k for k in range(2)) == -1
-
-
-def test_bivariate_eval_and_partial():
-    x = BivariatePolynomial({(1, 0): 1})
-    assert x.evaluate(2, 99) == 2
-    tutte_k3 = BivariatePolynomial({(2, 0): 1, (1, 0): 1, (0, 1): 1})
-    assert tutte_k3.evaluate(2, 3) == 9
-    assert BivariatePolynomial().evaluate(5, 5) == 0
-    assert tutte_k3.partial_x() == BivariatePolynomial({(1, 0): 2, (0, 0): 1})
-    assert BivariatePolynomial({(0, 0): 7}).partial_x().is_zero
-    assert BivariatePolynomial({(3, 2): 1}).partial_x() == BivariatePolynomial({(2, 2): 3})
-
-
-def test_bivariate_drops_zero_terms():
-    assert BivariatePolynomial({(1, 1): 0}).is_zero
 
 
 def test_decimal_string():

@@ -1,4 +1,4 @@
-"""Smoke tests for the experiment scripts: each runs and prints a known line."""
+"""Smoke tests for the experiment scripts and the README's library example."""
 
 import subprocess
 import sys
@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize(
@@ -27,3 +28,9 @@ def test_script_runs(tmp_path, argv, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert expected in [" ".join(line.split()) for line in proc.stdout.splitlines()]
+
+
+def test_readme_library_example_runs():
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
