@@ -29,17 +29,10 @@ from .coefficients import (
     check_cycle_identities,
     check_rank_cycle_correction,
     route_failures,
-    verify_route_agreement,
 )
-from .enumeration import (
-    DEFAULT_EDGE_CAP,
-    build_rank_table,
-    check_hyperbola_identities,
-    check_integrand_ratio,
-)
+from .enumeration import DEFAULT_EDGE_CAP, check_hyperbola_identities, check_integrand_ratio
 from .errors import (
     CorruptRankTableError,
-    DisconnectedGraphError,
     EnumerationCapError,
     FrontierOverflowError,
     GraphConstructionError,
@@ -47,8 +40,8 @@ from .errors import (
     RouteDisagreementError,
 )
 from .exactpoly import binomial, decimal_string
-from .expectation import ZETA3_DISPLAY, expected_mst_length, kn_table
-from .graphs import Graph, format_graph, generate, is_connected, parse_graph
+from .expectation import ZETA3_DISPLAY, exact_inputs, expected_mst_length, kn_table
+from .graphs import Graph, format_graph, generate, parse_graph
 from .mc import compare, simulate
 
 EXIT_OK = 0
@@ -108,10 +101,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    if not is_connected(g):
-        raise DisconnectedGraphError("coefficients are defined for connected graphs")
-    table = build_rank_table(g, cap=args.cap)
-    routes = verify_route_agreement(table, build_census(g))
+    routes = expected_mst_length(g, cap=args.cap).routes
     wanted = ROUTES if args.route == "all" else (args.route,)
     payload = {
         "n": g.n,
@@ -135,8 +125,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def _verify_checks(g: Graph, cap: int) -> list[tuple[str, bool]]:
-    table = build_rank_table(g, cap=cap)
-    census = build_census(g)
+    table, census = exact_inputs(g, cap=cap)
     checks: list[tuple[str, bool]] = []
 
     checks.append(
@@ -179,8 +168,6 @@ def _verify_checks(g: Graph, cap: int) -> list[tuple[str, bool]]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    if not is_connected(g):
-        raise DisconnectedGraphError("verify requires a connected graph")
     checks = _verify_checks(g, args.cap)
     all_pass = all(ok for _, ok in checks)
     payload = {

@@ -376,15 +376,16 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     return counts
 
 
-def _is_forest(g: Graph) -> bool:
-    """Whether g has no cycle: no edge joins two vertices already joined."""
+def _edge_rank(g: Graph) -> int:
+    """Rank of g's full edge set (n minus its components): the edges that join two roots."""
     parent = list(range(g.n))
+    rank = 0
     for u, v in g.edges:
         ru, rv = find(parent, u), find(parent, v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+        if ru != rv:
+            parent[ru] = rv
+            rank += 1
+    return rank
 
 
 def build_rank_table(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> RankTable:
@@ -393,11 +394,13 @@ def build_rank_table(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> RankTable:
     A forest's table is closed-form; any other graph runs the partition sweep.
     Graphs with more than ``cap`` edges are refused, and so is a sweep whose
     frontier outgrows ``MAX_FRONTIER_STATES``.  The table is validated before
-    it is returned: a table that fails is a bug in the sweep, raised as
-    ``CorruptRankTableError``.
+    it is returned, and its full edge set must have the rank that union-find
+    gives g's edges (n - 1 for a connected graph).  A table that fails either
+    check is a bug in the sweep, raised as ``CorruptRankTableError``.
     """
     _check_cap(g.m, cap)
-    if _is_forest(g):
+    rank = _edge_rank(g)
+    if rank == g.m:
         # every subset of a forest's edges is a forest: l edges have rank l
         counts = {(l, l): binomial(g.m, l) for l in range(g.m + 1)}
     else:
@@ -407,6 +410,11 @@ def build_rank_table(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> RankTable:
         table.validate()
     except ValueError as exc:
         raise CorruptRankTableError(f"rank table of the sweep is corrupt: {exc}") from exc
+    if table.row(g.m) != {rank: 1}:
+        raise CorruptRankTableError(
+            f"rank table of the sweep is corrupt: the full edge set has rank counts "
+            f"{table.row(g.m)}, expected {{{rank}: 1}}"
+        )
     return table
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import build_census
+from .census import SubgraphCensus, build_census
 from .coefficients import ROUTE_DIRECT, ROUTES, CoefficientVector, verify_route_agreement
-from .enumeration import DEFAULT_EDGE_CAP, _check_cap, build_rank_table
+from .enumeration import DEFAULT_EDGE_CAP, RankTable, _check_cap, build_rank_table
 from .errors import DisconnectedGraphError, InexactDivisionError
 from .exactpoly import IntPolynomial, binomial, decimal_string
 from .graphs import Graph, complete_graph, is_connected
@@ -49,15 +49,19 @@ class MstExpectation:
         }
 
 
+def exact_inputs(g: Graph, *, cap: int) -> tuple[RankTable, SubgraphCensus]:
+    """The rank table and the census of a connected graph: what every exact result reads.
+
+    A disconnected graph is refused before either is built.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraphError("exact results require a connected graph")
+    return build_rank_table(g, cap=cap), build_census(g)
+
+
 def expected_mst_length(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> MstExpectation:
     """Exact E[L(g)] for a connected graph with i.i.d. uniform edge weights."""
-    if not is_connected(g):
-        raise DisconnectedGraphError(
-            "expected MST length requires a connected graph"
-        )
-    table = build_rank_table(g, cap=cap)
-    census = build_census(g)
-    routes = verify_route_agreement(table, census)
+    routes = verify_route_agreement(*exact_inputs(g, cap=cap))
     polynomial = routes[ROUTE_DIRECT].integrand()
     return MstExpectation(
         n=g.n,

@@ -116,7 +116,7 @@ def test_verify_passes_on_generators(capsys):
 def test_verify_reports_failures_on_a_corrupted_table(capsys, monkeypatch):
     table = build_rank_table(bipartite_graph(3, 2))
     corrupted = RankTable(table.n, table.m, {**table.counts, (3, 2): 40})
-    monkeypatch.setattr(cli, "build_rank_table", lambda g, cap: corrupted)
+    monkeypatch.setattr(expectation, "build_rank_table", lambda g, cap: corrupted)
     code, out, _ = run_cli(capsys, "verify", "--gen", "bipartite", "3", "2")
     payload = json.loads(out)
     assert code == 4 and payload["all_pass"] is False
@@ -137,7 +137,7 @@ def test_verify_reports_failures_on_a_corrupted_table(capsys, monkeypatch):
 def test_coeffs_exits_4_when_the_routes_disagree(capsys, monkeypatch):
     table = build_rank_table(bipartite_graph(3, 2))
     corrupted = RankTable(table.n, table.m, {**table.counts, (3, 2): 40})
-    monkeypatch.setattr(cli, "build_rank_table", lambda g, cap: corrupted)
+    monkeypatch.setattr(expectation, "build_rank_table", lambda g, cap: corrupted)
     code, out, err = run_cli(capsys, "coeffs", "--gen", "bipartite", "3", "2")
     assert code == 4 and out == ""
     assert "coefficient routes disagree (rank, structural, nullity)" in err
@@ -149,7 +149,7 @@ def test_verify_reports_failures_when_a_cell_passes_the_nullity(capsys, monkeypa
     # Tutte polynomial then has a y-term above the graph's nullity 0.
     table = build_rank_table(path_graph(5))
     moved = {**table.counts, (3, 3): table.counts[(3, 3)] - 1, (3, 2): 1}
-    monkeypatch.setattr(cli, "build_rank_table", lambda g, cap: RankTable(5, 4, moved))
+    monkeypatch.setattr(expectation, "build_rank_table", lambda g, cap: RankTable(5, 4, moved))
     code, out, err = run_cli(capsys, "verify", "--gen", "path", "5", "--format", "plain")
     assert code == 4 and err == ""
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
@@ -165,7 +165,7 @@ def test_verify_reports_a_corrupted_census(capsys, monkeypatch):
     g = complete_graph(5)
     census = build_census(g)
     corrupted = dataclasses.replace(census, k4=census.k4 + 1)
-    monkeypatch.setattr(cli, "build_census", lambda g: corrupted)
+    monkeypatch.setattr(expectation, "build_census", lambda g: corrupted)
     code, out, _ = run_cli(capsys, "verify", "--gen", "complete", "5")
     payload = json.loads(out)
     assert code == 4 and payload["all_pass"] is False
@@ -178,11 +178,55 @@ def test_verify_reports_a_corrupted_census(capsys, monkeypatch):
     assert route_failures(table, all_routes(table, corrupted)) == ["structural"]
 
 
-def test_verify_disconnected_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["compute", "coeffs", "verify"])
+def test_verify_disconnected_exit_2(tmp_path, capsys, command):
+    # every exact command refuses a disconnected graph with the same message
     doc = tmp_path / "disc.txt"
     doc.write_text("4 2\n0 1\n2 3\n")
-    code, _, err = run_cli(capsys, "verify", str(doc))
-    assert code == 2 and "connected" in err
+    code, out, err = run_cli(capsys, command, str(doc))
+    assert code == 2 and out == ""
+    assert err == "error: exact results require a connected graph\n"
+
+
+@pytest.mark.parametrize("command", ["compute", "coeffs", "verify"])
+def test_a_corrupt_full_rank_is_an_internal_error(capsys, monkeypatch, command):
+    # The sweep puts K_{3,2}'s full edge set at rank 3, not 4.  The table
+    # still passes validate(); it is a bug in the sweep, exit 4, not a
+    # disconnected input.
+    counts = dict(enumeration._frontier_counts(bipartite_graph(3, 2)))
+    counts[(6, 3)] = counts.pop((6, 4))
+    RankTable(5, 6, counts).validate()  # passes: only the full-rank check sees it
+    monkeypatch.setattr(enumeration, "_frontier_counts", lambda g: counts)
+    code, out, err = run_cli(capsys, command, "--gen", "bipartite", "3", "2")
+    assert code == 4 and out == ""
+    assert err == (
+        "error: rank table of the sweep is corrupt: "
+        "the full edge set has rank counts {3: 1}, expected {4: 1}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compute"], ["coeffs"], ["verify"], ["simulate", "--trials", "1000"]],
+    ids=["compute", "coeffs", "verify", "simulate"],
+)
+def test_each_command_builds_one_table_and_one_census(capsys, monkeypatch, argv):
+    calls = {"build_rank_table": 0, "build_census": 0}
+
+    def counted(name):
+        original = getattr(expectation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(expectation, name, counted(name))
+    code, _, _ = run_cli(capsys, *argv, "--gen", "complete", "4")
+    assert code == 0
+    assert calls == {"build_rank_table": 1, "build_census": 1}
 
 
 def test_compute_refuses_a_graph_with_too_few_edges_to_connect(tmp_path, capsys):

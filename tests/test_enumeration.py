@@ -323,15 +323,17 @@ _CATERPILLAR = Graph(
 @example(_CATERPILLAR)
 def test_forest_table_matches_the_sweep(g):
     # disconnected, isolated-vertex and edgeless forests as well
-    assert enumeration._is_forest(g)
+    assert enumeration._edge_rank(g) == g.m
     assert build_rank_table(g, cap=g.m).counts == _frontier_counts(g)
 
 
 @settings(max_examples=100, deadline=None)
 @given(graphs(max_n=8, max_m=12))
-def test_is_forest_reads_the_full_rank(g):
-    # a graph is a forest exactly when its full edge set has rank m
-    assert enumeration._is_forest(g) == (_frontier_counts(g).get((g.m, g.m)) == 1)
+def test_edge_rank_is_the_full_rank_of_the_sweep(g):
+    # union-find's edge rank is the one rank the sweep gives the full edge set
+    assert {r: c for (l, r), c in _frontier_counts(g).items() if l == g.m} == {
+        enumeration._edge_rank(g): 1
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,16 @@
-"""Smoke tests for the experiment scripts and the README's library example."""
+"""Smoke tests for the experiment scripts and the README's examples."""
 
+import io
+import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from mstlength.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -34,3 +40,32 @@ def test_readme_library_example_runs():
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_command_line_examples_run(capsys, monkeypatch):
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    lines = section.split("```\n", 2)[1].splitlines()
+    commands = [line.split("#", 1)[0] for line in lines if line.startswith("mstlength ")]
+    assert len(commands) == 8
+
+    def run(stage: str, stdin: str) -> str:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code = main(shlex.split(stage)[1:])
+        captured = capsys.readouterr()
+        assert code == 0, (stage, captured.err)
+        return captured.out
+
+    for command in commands:
+        out = ""
+        for stage in command.split("|"):  # each stage reads the one before
+            out = run(stage, out)
+
+    # the annotation under the first example is compute's output
+    (arrow,) = [line.strip() for line in lines if line.lstrip().startswith("->")]
+    p, num, den, decimal = re.fullmatch(
+        r"-> p = (\[.*\]), E = (\d+)/(\d+) = ([\d.]+)", arrow
+    ).groups()
+    assert commands[0].startswith("mstlength compute ")
+    payload = json.loads(run(commands[0], ""))
+    assert json.loads(p) == payload["p"]
+    assert payload["expectation"] == {"num": num, "den": den, "decimal": decimal}
