@@ -7,7 +7,6 @@ ships a seeded Monte Carlo oracle for statistical confirmation.
 
 from .census import SubgraphCensus, build_census, count_cycles
 from .coefficients import (
-    CoefficientVector,
     ROUTES,
     all_routes,
     check_cycle_identities,

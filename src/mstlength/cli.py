@@ -28,6 +28,7 @@ from .coefficients import (
     all_routes,
     check_cycle_identities,
     check_rank_cycle_correction,
+    integrand,
     route_failures,
 )
 from .enumeration import DEFAULT_EDGE_CAP, check_hyperbola_identities, check_integrand_ratio
@@ -106,10 +107,10 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     payload = {
         "n": g.n,
         "m": g.m,
-        "routes": {name: list(routes[name].a) for name in wanted},
+        "routes": {name: list(routes[name]) for name in wanted},
     }
     plain = [f"n = {g.n}, m = {g.m}"] + [
-        f"{name}: {list(routes[name].a)}" for name in wanted
+        f"{name}: {list(routes[name])}" for name in wanted
     ]
     _emit(args, payload, plain)
     return EXIT_OK
@@ -138,7 +139,7 @@ def _verify_checks(g: Graph, cap: int) -> list[tuple[str, bool]]:
     routes = all_routes(table, census)
     checks.append(("route-agreement", not route_failures(table, routes)))
 
-    p = routes[ROUTE_DIRECT].integrand()
+    p = integrand(routes[ROUTE_DIRECT])
     checks.append(("constant-term", p.evaluate(0) == g.n - 1))
     checks.append(("vanishes-at-one", p.evaluate(1) == 0))
     checks.append(

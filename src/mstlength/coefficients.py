@@ -39,17 +39,6 @@ ROUTES = (ROUTE_DIRECT, ROUTE_EQ2, ROUTE_RANK, ROUTE_STRUCTURAL)
 STRUCTURAL_MAX_INDEX = 6
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Coefficients a_0..a_m from one route; None where the route is undefined."""
-
-    a: tuple[int | None, ...]
-
-    def integrand(self) -> IntPolynomial:
-        """p(t) = -1 + sum_i a_i t^i; needs every a_i, as the direct route has."""
-        return IntPolynomial((self.a[0] - 1, *self.a[1:]))
-
-
 @lru_cache(maxsize=None)
 def _pascal_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..m of Pascal's triangle: ``_pascal_rows(m)[k][j]`` is C(k, j)."""
@@ -253,31 +242,35 @@ def _coefficients_of(p: IntPolynomial, m: int) -> tuple[int, ...]:
     return tuple(p.coefficient(i) + (i == 0) for i in range(m + 1))
 
 
-def all_routes(table: RankTable, census: SubgraphCensus) -> dict[str, CoefficientVector]:
-    """Compute every route's full coefficient vector a_0..a_m."""
+def integrand(a: tuple[int, ...]) -> IntPolynomial:
+    """p(t) = -1 + sum_i a_i t^i from every a_i: the inverse of ``_coefficients_of``."""
+    return IntPolynomial((a[0] - 1, *a[1:]))
+
+
+def all_routes(table: RankTable, census: SubgraphCensus) -> dict[str, tuple[int | None, ...]]:
+    """Every route's coefficients a_0..a_m; None where the route is undefined."""
     m = table.m
     structural: list[int | None] = [
         coeff_structural(census, i) for i in range(min(STRUCTURAL_MAX_INDEX, m) + 1)
     ]
-    vectors = {
+    return {
         ROUTE_DIRECT: _coefficients_of(direct_integrand(table), m),
         ROUTE_EQ2: tuple(coeff_from_component_sums(table, i) for i in range(m + 1)),
         ROUTE_RANK: _coefficients_of(table.rank_integrand, m),
         ROUTE_STRUCTURAL: tuple(structural + [None] * (m + 1 - len(structural))),
     }
-    return {name: CoefficientVector(a) for name, a in vectors.items()}
 
 
-def route_failures(table: RankTable, routes: dict[str, CoefficientVector]) -> list[str]:
+def route_failures(table: RankTable, routes: dict[str, tuple[int | None, ...]]) -> list[str]:
     """Names of the routes that disagree with ``eq2``; empty when all agree.
 
     The nullity route (i >= 3) is checked as well even though it is not one of
     the published vectors.
     """
-    reference = routes[ROUTE_EQ2].a
-    failures = [name for name in (ROUTE_DIRECT, ROUTE_RANK) if routes[name].a != reference]
+    reference = routes[ROUTE_EQ2]
+    failures = [name for name in (ROUTE_DIRECT, ROUTE_RANK) if routes[name] != reference]
     if any(
-        routes[ROUTE_STRUCTURAL].a[i] != reference[i]
+        routes[ROUTE_STRUCTURAL][i] != reference[i]
         for i in range(min(STRUCTURAL_MAX_INDEX, table.m) + 1)
     ):
         failures.append(ROUTE_STRUCTURAL)
@@ -290,7 +283,7 @@ def route_failures(table: RankTable, routes: dict[str, CoefficientVector]) -> li
 
 def verify_route_agreement(
     table: RankTable, census: SubgraphCensus
-) -> dict[str, CoefficientVector]:
+) -> dict[str, tuple[int | None, ...]]:
     """Compute all routes and insist they agree; returns them on success.
 
     Disagreement means a bug somewhere, so the error carries every vector for
@@ -300,7 +293,7 @@ def verify_route_agreement(
     failures = route_failures(table, routes)
     if failures:
         detail = ", ".join(
-            f"{name}={list(vec.a)}" for name, vec in sorted(routes.items())
+            f"{name}={list(a)}" for name, a in sorted(routes.items())
         )
         raise RouteDisagreementError(
             f"coefficient routes disagree ({', '.join(failures)}) "

@@ -56,7 +56,7 @@ from .errors import (
     FrontierOverflowError,
 )
 from .exactpoly import IntPolynomial, binomial
-from .graphs import Graph, find
+from .graphs import Graph, edge_rank
 
 DEFAULT_EDGE_CAP = 28
 
@@ -376,18 +376,6 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     return counts
 
 
-def _edge_rank(g: Graph) -> int:
-    """Rank of g's full edge set (n minus its components): the edges that join two roots."""
-    parent = list(range(g.n))
-    rank = 0
-    for u, v in g.edges:
-        ru, rv = find(parent, u), find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-            rank += 1
-    return rank
-
-
 def build_rank_table(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> RankTable:
     """Count spanning subgraphs of g by (edge count, rank) over all 2^m subsets.
 
@@ -399,7 +387,7 @@ def build_rank_table(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> RankTable:
     check is a bug in the sweep, raised as ``CorruptRankTableError``.
     """
     _check_cap(g.m, cap)
-    rank = _edge_rank(g)
+    rank = edge_rank(g)
     if rank == g.m:
         # every subset of a forest's edges is a forest: l edges have rank l
         counts = {(l, l): binomial(g.m, l) for l in range(g.m + 1)}

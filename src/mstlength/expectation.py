@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .census import SubgraphCensus, build_census
-from .coefficients import ROUTE_DIRECT, ROUTES, CoefficientVector, verify_route_agreement
+from .coefficients import ROUTE_DIRECT, ROUTES, integrand, verify_route_agreement
 from .enumeration import DEFAULT_EDGE_CAP, RankTable, _check_cap, build_rank_table
 from .errors import DisconnectedGraphError, InexactDivisionError
 from .exactpoly import IntPolynomial, binomial, decimal_string
@@ -29,7 +29,7 @@ class MstExpectation:
     n: int
     m: int
     polynomial: IntPolynomial
-    routes: dict[str, CoefficientVector]
+    routes: dict[str, tuple[int | None, ...]]
     expectation: Fraction
 
     def decimal(self, digits: int = 10) -> str:
@@ -40,7 +40,7 @@ class MstExpectation:
             "n": self.n,
             "m": self.m,
             "p": list(self.polynomial.coefficients),
-            "a": {route: list(self.routes[route].a) for route in ROUTES},
+            "a": {route: list(self.routes[route]) for route in ROUTES},
             "expectation": {
                 "num": str(self.expectation.numerator),
                 "den": str(self.expectation.denominator),
@@ -62,7 +62,7 @@ def exact_inputs(g: Graph, *, cap: int) -> tuple[RankTable, SubgraphCensus]:
 def expected_mst_length(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> MstExpectation:
     """Exact E[L(g)] for a connected graph with i.i.d. uniform edge weights."""
     routes = verify_route_agreement(*exact_inputs(g, cap=cap))
-    polynomial = routes[ROUTE_DIRECT].integrand()
+    polynomial = integrand(routes[ROUTE_DIRECT])
     return MstExpectation(
         n=g.n,
         m=g.m,

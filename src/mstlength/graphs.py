@@ -73,21 +73,12 @@ class Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """True when a depth-first search from vertex 0 reaches every vertex.
+    """True when g's edge rank is n - 1.
 
     m edges join at most m + 1 vertices, so a graph with more vertices is
-    disconnected; that is answered before its adjacency is built.
+    disconnected; that is answered before any edge is read.
     """
-    if g.n > g.m + 1:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in g.adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return g.n <= g.m + 1 and edge_rank(g) == g.n - 1
 
 
 def find(parent: list[int], x: int) -> int:
@@ -96,6 +87,18 @@ def find(parent: list[int], x: int) -> int:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def edge_rank(g: Graph) -> int:
+    """Rank of g's full edge set (n minus its components): the edges that join two roots."""
+    parent = list(range(g.n))
+    rank = 0
+    for u, v in g.edges:
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            rank += 1
+    return rank
 
 
 def parse_graph(text: str) -> Graph:

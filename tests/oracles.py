@@ -149,13 +149,13 @@ def count_chorded_cycles_plus_edge_walk(g: Graph) -> int:
     return total
 
 
-def rank_counts_by_subsets(g: Graph) -> dict[tuple[int, int], int]:
-    """Rank-table counts {(edges, rank): count} by visiting all 2^m edge subsets.
+def _subset_ranks(g: Graph) -> list[int]:
+    """Rank of every edge subset, indexed by its bitmask over ``g.edges``.
 
     Each subset gets a fresh union-find; rank is the number of successful
-    unions.  Practical m <= 16 or so.
+    unions.
     """
-    counts: dict[tuple[int, int], int] = {}
+    ranks = []
     for mask in range(1 << g.m):
         parent = list(range(g.n))
 
@@ -172,9 +172,116 @@ def rank_counts_by_subsets(g: Graph) -> dict[tuple[int, int], int]:
                 if ru != rv:
                     parent[ru] = rv
                     rank += 1
+        ranks.append(rank)
+    return ranks
+
+
+def rank_counts_by_subsets(g: Graph) -> dict[tuple[int, int], int]:
+    """Rank-table counts {(edges, rank): count} by visiting all 2^m edge subsets.
+
+    Practical m <= 16 or so.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for mask, rank in enumerate(_subset_ranks(g)):
         key = (mask.bit_count(), rank)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def mst_length_moments(g: Graph) -> tuple[Fraction, Fraction]:
+    """Exact (E[L], Var[L]) of a connected graph by visiting nested edge-set pairs.
+
+    L is the integral over t in [0, 1] of kappa(G_t) - 1, where G_t keeps the
+    edges of weight <= t.  So E[L] sums (kappa(A) - 1) a! (m - a)! / (m + 1)!
+    over the subsets A, and E[L^2] = 2/(m + 2)! times the sum over the 3^m
+    pairs A of B of (kappa(A) - 1)(kappa(B) - 1) a! b! c!, with a = |A|,
+    b = |B - A| and c = m - |B|: each edge is early (weight <= s), late
+    (s < weight <= t) or absent, and the integral of s^a (t - s)^b (1 - t)^c
+    over 0 < s < t < 1 is a! b! c! / (a + b + c + 2)!.  Practical m <= 10.
+    """
+    m = g.m
+    excess = [g.n - rank - 1 for rank in _subset_ranks(g)]
+    mean = Fraction(
+        sum(k * factorial(mask.bit_count()) * factorial(m - mask.bit_count())
+            for mask, k in enumerate(excess)),
+        factorial(m + 1),
+    )
+    second = 0
+    for outer, k_outer in enumerate(excess):
+        if not k_outer:
+            continue
+        size = outer.bit_count()
+        inner_sum = 0
+        inner = outer
+        while True:
+            a = inner.bit_count()
+            inner_sum += excess[inner] * factorial(a) * factorial(size - a)
+            if not inner:
+                break
+            inner = (inner - 1) & outer
+        second += k_outer * inner_sum * factorial(m - size)
+    second = Fraction(2 * second, factorial(m + 2))
+    return mean, second - mean**2
+
+
+def _gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of row vectors given as int bitmasks."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def tutte_special_values(g: Graph) -> dict[tuple[int, int], int]:
+    """T(g) at (1, 1), (-1, -1), (-1, 0) and (0, -1) for a connected g, from g alone.
+
+    Points off the hyperbola (x - 1)(y - 1) = 1 where T is computable in
+    polynomial time (Jaeger-Vertigan-Welsh, 1990):
+
+    * T(1, 1) counts spanning trees (Kirchhoff);
+    * T(-1, -1) = (-1)^m (-2)^d, with d the dimension of the bicycle space over
+      GF(2): the rank of the vertex stars minus the rank of the Laplacian mod 2
+      (Rosenstiehl-Read, 1978);
+    * T(-1, 0) = (-1)^(n-1) if g is bipartite, else 0: the proper
+      2-colourings, found by a BFS colouring;
+    * T(0, -1) = (-1)^(m-n+1) if every degree is even, else 0: the
+      nowhere-zero Z_2 flows.
+    """
+    n, m = g.n, g.m
+    stars = [0] * n
+    laplacian = [0] * n
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(g.edges):
+        stars[u] |= 1 << idx
+        stars[v] |= 1 << idx
+        laplacian[u] ^= 1 << v | 1 << u
+        laplacian[v] ^= 1 << u | 1 << v
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    bicycles = _gf2_rank(stars) - _gf2_rank(laplacian)
+
+    colour = {0: 0}
+    queue = [0]
+    bipartite = True
+    for u in queue:
+        for w in neighbours[u]:
+            if w not in colour:
+                colour[w] = 1 - colour[u]
+                queue.append(w)
+            elif colour[w] == colour[u]:
+                bipartite = False
+    eulerian = all(len(ns) % 2 == 0 for ns in neighbours)
+    return {
+        (1, 1): spanning_tree_count_kirchhoff(g),
+        (-1, -1): (-1) ** m * (-2) ** bicycles,
+        (-1, 0): (-1) ** (n - 1) if bipartite else 0,
+        (0, -1): (-1) ** (m - n + 1) if eulerian else 0,
+    }
 
 
 def canonical_labels(labels: tuple[int, ...]) -> tuple[int, ...]:

@@ -17,7 +17,11 @@ from mstlength.enumeration import build_rank_table
 from mstlength.expectation import expected_mst_length
 from mstlength.graphs import Graph, is_connected
 
-from .oracles import mst_expectation_by_rank_enumeration, rank_counts_by_subsets
+from .oracles import (
+    mst_expectation_by_rank_enumeration,
+    rank_counts_by_subsets,
+    tutte_special_values,
+)
 
 nx = pytest.importorskip("networkx")
 
@@ -53,6 +57,16 @@ def test_rank_table_matches_the_subset_oracle_up_to_10_edges():
     assert len(small) == 475
     for g in small:
         assert build_rank_table(g).counts == rank_counts_by_subsets(g), g.edges
+
+
+def test_tutte_matches_its_special_values_on_every_connected_graph():
+    failing = []
+    for g in connected_atlas():
+        tutte = build_rank_table(g, cap=g.m).tutte
+        for (x, y), value in tutte_special_values(g).items():
+            if sum(c * x**i * y**j for (i, j), c in tutte.items()) != value:
+                failing.append((g.edges, (x, y)))
+    assert failing == []
 
 
 def test_expectation_matches_the_ordering_oracle_up_to_6_edges():

@@ -34,6 +34,7 @@ from mstlength.graphs import (
     bipartite_graph,
     complete_graph,
     cycle_graph,
+    edge_rank,
     path_graph,
 )
 
@@ -46,6 +47,7 @@ from .oracles import (
     spanning_tree_count_kirchhoff,
     tutte_polynomial_networkx,
     tutte_polynomial_whitney,
+    tutte_special_values,
 )
 from .strategies import block_graphs, connected_graphs, forests, graphs, grid_graph
 
@@ -110,7 +112,7 @@ def test_k10_exact_expectation(monkeypatch):
     result = expectation.expected_mst_length(complete_graph(10), cap=45)
     # Matches Gilbert's connectivity recurrence for K_10.
     assert result.expectation == Fraction(277192644536661, 249195453936572)
-    assert [result.routes["eq2"].a[i] for i in range(7)] == [
+    assert [result.routes["eq2"][i] for i in range(7)] == [
         expectation.kn_coefficient(10, i) for i in range(7)
     ]
     (table,) = tables
@@ -323,7 +325,7 @@ _CATERPILLAR = Graph(
 @example(_CATERPILLAR)
 def test_forest_table_matches_the_sweep(g):
     # disconnected, isolated-vertex and edgeless forests as well
-    assert enumeration._edge_rank(g) == g.m
+    assert edge_rank(g) == g.m
     assert build_rank_table(g, cap=g.m).counts == _frontier_counts(g)
 
 
@@ -332,7 +334,7 @@ def test_forest_table_matches_the_sweep(g):
 def test_edge_rank_is_the_full_rank_of_the_sweep(g):
     # union-find's edge rank is the one rank the sweep gives the full edge set
     assert {r: c for (l, r), c in _frontier_counts(g).items() if l == g.m} == {
-        enumeration._edge_rank(g): 1
+        edge_rank(g): 1
     }
 
 
@@ -481,6 +483,68 @@ def test_tutte_matches_networkx(g):
 def test_tutte_matches_networkx_random(g):
     _skip_without_networkx()
     assert tutte_polynomial(build_rank_table(g)) == tutte_polynomial_networkx(g)
+
+
+def _tutte_at(tutte: dict[tuple[int, int], int], x: int, y: int) -> int:
+    return sum(c * x**i * y**j for (i, j), c in tutte.items())
+
+
+_TUTTE_CORPUS = [
+    complete_graph(5),
+    complete_graph(8),
+    complete_graph(9),
+    bipartite_graph(4, 6),
+    cycle_graph(30),
+    grid_graph(5, 5),
+    grid_graph(6, 6),
+]
+
+
+@pytest.mark.parametrize("g", _TUTTE_CORPUS, ids=["K5", "K8", "K9", "K46", "C30", "grid5", "grid6"])
+def test_tutte_matches_its_special_values(g):
+    # the only exact oracle for tables too large for the subset loop
+    tutte = build_rank_table(g, cap=g.m).tutte
+    for (x, y), value in tutte_special_values(g).items():
+        assert _tutte_at(tutte, x, y) == value, (x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+@example(Graph(1))
+def test_tutte_matches_its_special_values_random(g):
+    tutte = build_rank_table(g).tutte
+    for (x, y), value in tutte_special_values(g).items():
+        assert _tutte_at(tutte, x, y) == value, (x, y)
+
+
+@pytest.mark.parametrize(
+    "g, moves",
+    [(grid_graph(5, 5), 190), (complete_graph(8), 35), (bipartite_graph(4, 6), 54)],
+    ids=["grid5", "K8", "K46"],
+)
+def test_special_values_catch_every_valid_one_step_move(g, moves):
+    # A count moved from (l, r) to (l, r - 1) keeps every row sum, so the
+    # hyperbola checks cannot see it; the full-rank check already refuses
+    # such a move in row m.
+    table = build_rank_table(g, cap=g.m)
+    values = tutte_special_values(g)
+    tried = 0
+    for (l, r), c in table.counts.items():
+        if l == g.m:
+            continue
+        counts = dict(table.counts)
+        counts[(l, r)] = c - 1
+        counts[(l, r - 1)] = counts.get((l, r - 1), 0) + 1
+        moved = RankTable(g.n, g.m, counts)
+        try:
+            moved.validate()
+        except ValueError:
+            continue
+        tried += 1
+        assert any(
+            _tutte_at(moved.tutte, x, y) != value for (x, y), value in values.items()
+        ), (l, r)
+    assert tried == moves
 
 
 @settings(max_examples=40, deadline=None)

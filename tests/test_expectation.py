@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from mstlength.errors import DisconnectedGraphError, InexactDivisionError
 from mstlength.exactpoly import IntPolynomial, binomial
@@ -19,7 +20,8 @@ from mstlength.graphs import (
     path_graph,
 )
 
-from .oracles import mst_expectation_by_rank_enumeration
+from .oracles import mst_expectation_by_rank_enumeration, mst_length_moments
+from .strategies import connected_graphs
 
 # Ground truth from the rank-ordering oracle (scripts/small_graph_oracle.py).
 ORACLE_VALUES = {
@@ -105,7 +107,7 @@ def test_kn_coefficient_closed_forms():
 def test_kn_coefficients_match_enumeration(n):
     result = expected_mst_length(complete_graph(n))
     for i in range(7):
-        enumerated = result.routes["eq2"].a[i] if i <= result.m else 0
+        enumerated = result.routes["eq2"][i] if i <= result.m else 0
         assert kn_coefficient(n, i) == enumerated
 
 
@@ -157,3 +159,32 @@ def test_kn_table_json_row():
         "increasing": True,
         "concave": None,
     }
+
+
+@pytest.mark.parametrize(
+    "g, variance",
+    [
+        (path_graph(4), Fraction(1, 4)),
+        (cycle_graph(4), Fraction(17, 75)),
+        (complete_graph(4), Fraction(194, 1225)),
+        (bipartite_graph(3, 2), Fraction(339, 1225)),
+        (cycle_graph(5), Fraction(20, 63)),
+    ],
+    ids=["P_4", "C_4", "K_4", "K_{3,2}", "C_5"],
+)
+def test_variance_oracle_values(g, variance):
+    assert mst_length_moments(g)[1] == variance
+
+
+@pytest.mark.parametrize(
+    "g", [path_graph(n) for n in (2, 5, 11)] + [bipartite_graph(1, k) for k in (3, 6, 10)]
+)
+def test_variance_oracle_on_trees_is_m_over_12(g):
+    # a tree's MST is every edge: the sum of m independent uniforms
+    assert mst_length_moments(g) == (Fraction(g.m, 2), Fraction(g.m, 12))
+
+
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs(max_n=6, max_m=10))
+def test_moments_oracle_mean_matches_expectation(g):
+    assert mst_length_moments(g)[0] == expected_mst_length(g).expectation

@@ -28,6 +28,8 @@ from mstlength.mc import (
     simulate,
 )
 
+from .oracles import mst_length_moments
+
 
 def test_determinism_same_inputs():
     a = simulate(complete_graph(4), 5000, seed=99)
@@ -275,6 +277,18 @@ def test_single_trial_stderr_zero():
     est = simulate(complete_graph(3), 1, seed=0)
     assert est.stderr == 0.0
     assert est.min_length == est.max_length == est.mean
+
+
+@pytest.mark.parametrize(
+    "g", [complete_graph(4), bipartite_graph(3, 2), cycle_graph(5), path_graph(4)],
+    ids=["K_4", "K_{3,2}", "C_5", "P_4"],
+)
+def test_stderr_estimates_the_exact_variance(g):
+    # stderr^2 * trials is the sample variance, within 1.1-2.6% of the exact
+    # Var[L] at this seed
+    est = simulate(g, 16384, seed=0)
+    variance = mst_length_moments(g)[1]
+    assert est.stderr**2 * est.trials == pytest.approx(float(variance), rel=0.05)
 
 
 def test_compare_verdicts():
