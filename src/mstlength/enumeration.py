@@ -38,6 +38,15 @@ int unchanged, and only an edge inside a block (a loop) shifts the int by one
 digit.  A digit counts subsets of at most m edges of one size, so it is at
 most C(m, r + nu) <= C(63, 31) < 2^63 and no digit carries; an int holds at
 most m - n + c + 1 digits for a graph with c components.
+
+The star of the last vertex x in BFS order takes no step: each edge of x
+joins it to a frontier vertex or to a vertex first seen there, a block of its
+own, and s >= 1 edges into one block add one rank and s - 1 nullity.  So the
+states are grouped by rank and block sizes, and each group's summed int is
+multiplied by the packed nullity polynomial of each rank gain.  Every digit of
+a product, or of a sum of them, counts subsets of one final cell (l, r), so
+it is at most C(m, l) < 2^63 and no digit carries.  K_n peaks at the Bell(n-1)
+partitions of the vertices that wait for x.
 """
 
 from __future__ import annotations
@@ -312,9 +321,62 @@ def _combine_counts(
     return np.add.reduceat(children[order], starts)
 
 
+def _runs(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows by ``keys`` and the start of each run of equal rows."""
+    order = np.lexsort(keys)
+    opens_run = np.zeros(len(order), dtype=bool)
+    opens_run[0] = True
+    for key in keys:
+        ranked = key[order]
+        opens_run[1:] |= ranked[1:] != ranked[:-1]
+    return order, np.flatnonzero(opens_run)
+
+
+@lru_cache(maxsize=None)
+def _star_factor(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """The packed w-polynomials of z^0..z^len(sizes) in prod_b (1 + z f_b(w)).
+
+    s >= 1 edges from x into a block of b vertices add one rank (z) and s - 1
+    nullity (w): f_b(w) = sum_{s=1..b} C(b, s) w^(s-1), and w^j is digit j.
+    """
+    factor = [1]
+    for b in sizes:
+        f = sum(binomial(b, s) << (_DIGIT_BITS * (s - 1)) for s in range(1, b + 1))
+        factor = [a + c * f for a, c in zip(factor + [0], [0] + factor)]
+    return tuple(factor)
+
+
+def _finish_star(
+    labels: np.ndarray, rank: np.ndarray, vec: np.ndarray, singles: int
+) -> dict[int, int]:
+    """The packed counts of each final rank, from the states before x's star.
+
+    Each active vertex has one edge to x left, and ``singles`` more edges of x
+    reach vertices first seen in the star.
+    """
+    rows, width = labels.shape
+    slots = labels + width * np.arange(rows)[:, None]
+    sizes = np.sort(np.bincount(slots.ravel(), minlength=rows * width).reshape(rows, width))
+    order, starts = _runs([*sizes.T, rank])
+    kept = order[starts]
+    sums = np.add.reduceat(vec[order], starts)
+    final: dict[int, int] = {}
+    for row, low, packed in zip(sizes[kept].tolist(), rank[kept].tolist(), sums):
+        blocks = tuple(b for b in row if b) + (1,) * singles
+        for r, factor in enumerate(_star_factor(blocks), start=low):
+            final[r] = final.get(r, 0) + packed * factor
+    return final
+
+
 def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     edge_order = _sweep_edge_order(g)
-    last_step = {w: step for step, e in enumerate(edge_order) for w in g.edges[e]}
+    steps = list(enumerate(edge_order))
+    last_step = {w: step for step, e in steps for w in g.edges[e]}
+    first_step = {w: step for step, e in reversed(steps) for w in g.edges[e]}
+    # The last vertex x, the later-seen end of the last edge, has the largest
+    # BFS position, so its edges are the tail of the sweep: its star.
+    x = max(g.edges[edge_order[-1]], key=first_step.__getitem__) if g.m else -1
+    stop = first_step.get(x, g.m)
 
     active: list[int] = []
     # One state per row: block labels aligned with `active`, the rank, and
@@ -323,7 +385,7 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     rank = np.zeros(1, dtype=_LABEL_DTYPE)
     vec = np.array([1], dtype=object)
 
-    for step, e in enumerate(edge_order):
+    for step, e in steps[:stop]:
         u, v = g.edges[e]
         # Activate endpoints first seen here (a retired vertex never comes
         # back): every state gains the same singleton block, named by its slot.
@@ -343,14 +405,7 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
             children = _retire_rows(children, drops)
             active = [w for w in active if last_step[w] != step]
 
-        keys = _state_keys(children, child_rank)
-        order = np.lexsort(keys)
-        opens_run = np.zeros(len(order), dtype=bool)
-        opens_run[0] = True
-        for key in keys:
-            ranked = key[order]
-            opens_run[1:] |= ranked[1:] != ranked[:-1]
-        starts = np.flatnonzero(opens_run)
+        order, starts = _runs(_state_keys(children, child_rank))
         # The distinct states are known before any count is added, so a
         # refused step does none of its big-int arithmetic.
         if len(starts) > MAX_FRONTIER_STATES:
@@ -363,9 +418,9 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
         kept = order[starts]
         labels, rank = children[kept], child_rank[kept]
 
-    # Every vertex has retired, so each state is its rank alone.
+    singles = sum(w not in active for e in edge_order[stop:] for w in g.edges[e] if w != x)
     counts: dict[tuple[int, int], int] = {}
-    for r, packed in zip(rank.tolist(), vec):
+    for r, packed in _finish_star(labels, rank, vec, singles).items():
         nullity = 0
         while packed:
             digit = packed & _DIGIT_MASK

@@ -261,23 +261,26 @@ def test_budget_refusal_stops_inside_the_step(monkeypatch):
         return combine(vec, joins, order, starts)
 
     monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
-    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", 210)
-    with pytest.raises(FrontierOverflowError, match=r"budget of 210 partition states \(reached at edge 16/21\)"):
+    # K_7's edges 16-21 are the last vertex's star, which takes no step; step 15
+    # reaches all 203 partitions of the other six vertices
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", 200)
+    with pytest.raises(FrontierOverflowError, match=r"budget of 200 partition states \(reached at edge 15/21\)"):
         _frontier_counts(complete_graph(7))
-    # steps 1-15 added their counts; the refusing step 16 added none
-    assert len(merged) == 15 and max(merged) <= 210
+    # steps 1-14 added their counts; the refusing step 15 added none
+    assert len(merged) == 14 and max(merged) <= 200
 
 
 @pytest.mark.parametrize(
     "g, peak",
     [
-        (complete_graph(8), 1080),
+        (complete_graph(8), 877),
+        (complete_graph(9), 4140),
         (grid_graph(5, 5), 463),
-        (cycle_graph(20), 20),
+        (cycle_graph(20), 19),
         # rooted on the 6-vertex side, of degree 4; the 4-vertex side gave 1232
         (bipartite_graph(4, 6), 190),
     ],
-    ids=["K8", "grid5x5", "C20", "K4_6"],
+    ids=["K8", "K9", "grid5x5", "C20", "K4_6"],
 )
 def test_peak_states_are_pinned(monkeypatch, g, peak):
     # a sweep holds each partition state once: its peak is the budget it needs
@@ -290,12 +293,32 @@ def test_peak_states_are_pinned(monkeypatch, g, peak):
         _frontier_counts(g)
 
 
+def _bell(n: int) -> int:
+    # B(n + 1) = sum_k C(n, k) B(k)
+    bell = [1]
+    for i in range(n):
+        bell.append(sum(binomial(i, k) * b for k, b in enumerate(bell)))
+    return bell[n]
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_complete_graph_peaks_at_bell_states(monkeypatch, n):
+    # The star of K_n's last vertex takes no step, so the widest frontier is
+    # every partition of the other n - 1 vertices, as many as Bell(n - 1).
+    peak = _bell(n - 1)
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak)
+    assert _frontier_counts(complete_graph(n))[(n - 1, n - 1)] == n ** (n - 2)
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak - 1)
+    with pytest.raises(FrontierOverflowError, match=f"budget of {peak - 1} "):
+        _frontier_counts(complete_graph(n))
+
+
 @pytest.mark.parametrize(
-    "g",
-    [path_graph(19), cycle_graph(20), complete_graph(9), grid_graph(5, 5)],
+    "g, star",
+    [(path_graph(19), 1), (cycle_graph(20), 2), (complete_graph(9), 8), (grid_graph(5, 5), 2)],
     ids=["P19", "C20", "K9", "grid5x5"],
 )
-def test_counts_are_packed_by_nullity(monkeypatch, g):
+def test_counts_are_packed_by_nullity(monkeypatch, g, star):
     # A connected graph's subsets have nullity 0..m - n + 1, one digit each: a
     # tree's counts fit one digit and a cycle's two, whatever the edge count.
     widest = []
@@ -308,9 +331,86 @@ def test_counts_are_packed_by_nullity(monkeypatch, g):
 
     monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
     counts = _frontier_counts(g)
-    assert len(widest) == g.m
+    # one step per edge up to the star of the last vertex, of degree `star`
+    assert len(widest) == g.m - star
     assert max(widest) <= _DIGIT_BITS * (g.m - g.n + 2)
     assert counts[(g.m, g.n - 1)] == 1
+
+
+def _compositions(total: int) -> list[tuple[int, ...]]:
+    """Every tuple of positive ints that sums to ``total``."""
+    if total == 0:
+        return [()]
+    return [(b, *rest) for b in range(1, total + 1) for rest in _compositions(total - b)]
+
+
+@pytest.mark.parametrize("total", range(8))
+def test_star_factor_matches_subsets(total):
+    for sizes in _compositions(total):
+        # Edge i of the star goes into block blocks[i]; a subset of the star
+        # joins the blocks it touches (one rank each) and closes one cycle per
+        # other edge.
+        blocks = [b for b, size in enumerate(sizes) for _ in range(size)]
+        cells: dict[tuple[int, int], int] = {}
+        for mask in range(1 << total):
+            touched = {blocks[i] for i in range(total) if mask >> i & 1}
+            cell = (len(touched), mask.bit_count() - len(touched))
+            cells[cell] = cells.get(cell, 0) + 1
+        factor = enumeration._star_factor(sizes)
+        assert len(factor) == len(sizes) + 1, sizes
+        unpacked = {
+            (k, j): packed >> (_DIGIT_BITS * j) & ((1 << _DIGIT_BITS) - 1)
+            for k, packed in enumerate(factor)
+            for j in range(total + 1)
+        }
+        assert {cell: c for cell, c in unpacked.items() if c} == cells, sizes
+        assert all(packed >> (_DIGIT_BITS * (total + 1)) == 0 for packed in factor), sizes
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # a pendant vertex whose only edge goes to the last vertex: it is
+        # first seen in the star, as a block of its own
+        Graph(2, ((0, 1),)),
+        # a path, then an isolated edge that is the whole last star
+        Graph(5, ((0, 1), (1, 2), (3, 4))),
+        # a triangle with two tails: the last vertex is the far tail's end
+        Graph(5, ((0, 1), (1, 2), (2, 3), (1, 3), (3, 4))),
+        # no edges: the sweep has no last vertex and the finish no star
+        Graph(4),
+        # K_{1,5}: the last vertex is a leaf and its star one edge
+        Graph(6, tuple((0, i) for i in range(1, 6))),
+        complete_graph(5),
+    ],
+    ids=["K2", "path_then_edge", "triangle_tails", "edgeless", "K1_5", "K5"],
+)
+def test_finish_matches_the_subset_oracle(g):
+    assert _frontier_counts(g) == rank_counts_by_subsets(g)
+
+
+@pytest.mark.parametrize("g", [complete_graph(9), grid_graph(5, 5)], ids=["K9", "grid5x5"])
+def test_finish_digits_do_not_carry(monkeypatch, g):
+    finals = []
+    finish = enumeration._finish_star
+
+    def recording_finish(*args):
+        finals.append(finish(*args))
+        return finals[-1]
+
+    monkeypatch.setattr(enumeration, "_finish_star", recording_finish)
+    counts = _frontier_counts(g)
+    (final,) = finals
+    digits = {
+        (r + j, r): packed >> (_DIGIT_BITS * j) & ((1 << _DIGIT_BITS) - 1)
+        for r, packed in final.items()
+        for j in range(g.m - r + 1)
+    }
+    assert all(digit < 1 << (_DIGIT_BITS - 1) for digit in digits.values())
+    # the digits are the table: none spilled into its neighbour
+    assert {cell: c for cell, c in digits.items() if c} == counts
+    assert all(packed >> (_DIGIT_BITS * (g.m - r + 1)) == 0 for r, packed in final.items())
+    assert sum(counts.values()) == 1 << g.m
 
 
 # a 20-vertex spine with 21 legs: a 40-edge tree
@@ -493,6 +593,8 @@ _TUTTE_CORPUS = [
     complete_graph(5),
     complete_graph(8),
     complete_graph(9),
+    # finished from the Bell(9) = 21147 partitions of the other nine vertices
+    complete_graph(10),
     bipartite_graph(4, 6),
     cycle_graph(30),
     grid_graph(5, 5),
@@ -500,7 +602,7 @@ _TUTTE_CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("g", _TUTTE_CORPUS, ids=["K5", "K8", "K9", "K46", "C30", "grid5", "grid6"])
+@pytest.mark.parametrize("g", _TUTTE_CORPUS, ids=["K5", "K8", "K9", "K10", "K46", "C30", "grid5", "grid6"])
 def test_tutte_matches_its_special_values(g):
     # the only exact oracle for tables too large for the subset loop
     tutte = build_rank_table(g, cap=g.m).tutte
