@@ -6,7 +6,8 @@ Usage: python scripts/kn_table_experiment.py [MAX_N] [CAP]
 MAX_N defaults to 8 (28 edges, within the default enumeration cap); raising
 the cap to 36 allows K_9 (36 edges), which takes well under a second.  Cap 45
 allows K_10 (about 0.1 s for the whole table) and cap 55 allows K_11 (about
-0.55 s) on a 2-core x86-64 host under Python 3.11 and numpy 2.4.
+0.4 s; medians of 7 fresh processes) on a 2-core x86-64 host under Python 3.11
+and numpy 2.4.
 """
 
 import pathlib

@@ -22,7 +22,6 @@ routes deliberately share nothing beyond the rank table and the census.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .census import SubgraphCensus
@@ -202,39 +201,6 @@ def check_cycle_identities(table: RankTable, census: SubgraphCensus, i: int) -> 
         tuple(d.get(l, 0) for l in range(i + 1)), m, i, 3
     )
     return transform_ok and corrected == (coeff_from_nullities(table, i) if i <= m else 0)
-
-
-@dataclass(frozen=True)
-class CycleTransformReport:
-    """Experimental record for the conjectured i >= 7 cycle transform: never asserted.
-
-    ``transform`` uses the minimum-rank inner bound exactly as stated for the
-    proven range; ``transform_all_cycles`` starts the inner sum at 3.  They
-    agree for i <= 6.
-    """
-
-    i: int
-    transform: int
-    transform_all_cycles: int
-    cycle_count: int
-
-    @property
-    def matches(self) -> bool:
-        return self.transform == self.cycle_count
-
-    @property
-    def matches_all_cycles(self) -> bool:
-        return self.transform_all_cycles == self.cycle_count
-
-
-def cycle_transform_report(census: SubgraphCensus, i: int) -> CycleTransformReport:
-    """Evaluate both cycle-transform readings at any i >= 3 and report."""
-    return CycleTransformReport(
-        i=i,
-        transform=cycle_transform_value(census, i),
-        transform_all_cycles=cycle_transform_value(census, i, all_cycles=True),
-        cycle_count=census.cycle_count(i),
-    )
 
 
 def _coefficients_of(p: IntPolynomial, m: int) -> tuple[int, ...]:

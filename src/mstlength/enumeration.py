@@ -529,8 +529,9 @@ def _along_hyperbola(poly: dict[tuple[int, int], int], nx: int, ny: int) -> IntP
 
     T and T_x of a graph have y-degree at most its nullity, so j <= ny.  A
     corrupted table can pass it by k; the columns then run to ny + k and the
-    result is divided by (1-t)^k, exactly: each cell (l, r) of the table adds a
-    multiple of (1-t)^(m-l) to the sum, so any table with l <= m divides.
+    result is divided by (1-t)^k, exactly, by k passes of integer prefix sums:
+    each cell (l, r) of the table adds a multiple of (1-t)^(m-l) to the sum, so
+    any table with l <= m divides.
     """
     k = max(0, max((j for _, j in poly), default=0) - ny)
     columns = [[0] * (nx + ny + k + 1) for _ in range(ny + k + 1)]
@@ -540,8 +541,7 @@ def _along_hyperbola(poly: dict[tuple[int, int], int], nx: int, ny: int) -> IntP
     for column in columns:
         # acc (1-t) + column; the degree never exceeds nx + ny + k, so nothing is cut off
         acc = [c + a - b for c, a, b in zip(column, acc, [0] + acc)]
-    scaled = IntPolynomial(acc)
-    return scaled.divide_exact(IntPolynomial((1, -1)) ** k) if k else scaled
+    return IntPolynomial(acc).divide_by_one_minus_t(k)
 
 
 def _hyperbola_sides(table: RankTable, t: Fraction) -> tuple[Fraction, Fraction, Fraction]:

@@ -36,7 +36,7 @@ class FrontierOverflowError(MstLengthError):
 
 
 class InexactDivisionError(MstLengthError):
-    """Polynomial division left a nonzero remainder or non-integer quotient."""
+    """A polynomial is not an exact multiple of the power of (1-t) it is divided by."""
 
 
 class CorruptRankTableError(MstLengthError):

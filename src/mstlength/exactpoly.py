@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import InexactDivisionError
@@ -29,7 +30,8 @@ class IntPolynomial:
     """Immutable dense polynomial with arbitrary-precision integer coefficients.
 
     ``coefficients[i]`` is the coefficient of t^i; trailing zeros are stripped
-    so the zero polynomial has an empty coefficient tuple.
+    so the zero polynomial has an empty coefficient tuple.  It evaluates,
+    integrates over [0, 1] and divides by (1-t)^k: what the integrand needs.
     """
 
     __slots__ = ("coefficients",)
@@ -42,14 +44,6 @@ class IntPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
-
-    @classmethod
-    def zero(cls) -> IntPolynomial:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> IntPolynomial:
-        return cls((1,))
 
     @property
     def is_zero(self) -> bool:
@@ -76,56 +70,6 @@ class IntPolynomial:
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coefficients)})"
 
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(-c for c in self.coefficients)
-
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return IntPolynomial(summed)
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(c * other for c in self.coefficients)
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPolynomial.zero()
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> IntPolynomial:
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = IntPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def shift(self, k: int) -> IntPolynomial:
-        """Multiply by t^k."""
-        if self.is_zero:
-            return self
-        return IntPolynomial((0,) * k + self.coefficients)
-
     def evaluate(self, t: int | Fraction) -> Fraction:
         """Exact value at a rational (or integer) point t = a/b.
 
@@ -145,36 +89,21 @@ class IntPolynomial:
         """Exact integral over [0, 1]: sum of c_i / (i + 1)."""
         return sum((Fraction(c, i + 1) for i, c in enumerate(self.coefficients)), Fraction(0))
 
-    def divide_exact(self, divisor: IntPolynomial) -> IntPolynomial:
-        """Exact quotient in Z[t]; raises InexactDivisionError otherwise.
+    def divide_by_one_minus_t(self, k: int) -> IntPolynomial:
+        """Exact quotient by (1-t)^k; raises InexactDivisionError otherwise.
 
-        Long division over the rationals, then both the remainder and any
-        non-integer quotient coefficient count as failures.
+        p = q (1-t) exactly when p(1) = 0, and then q_i = p_0 + ... + p_i: each
+        of the k passes keeps the prefix sums but the last, which is p(1).
         """
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        remainder = [Fraction(c) for c in self.coefficients]
-        dcoeffs = divisor.coefficients
-        dlead = Fraction(dcoeffs[-1])
-        ddeg = divisor.degree
-        if self.degree < ddeg:
-            if self.is_zero:
-                return IntPolynomial.zero()
-            raise InexactDivisionError(
-                f"degree {self.degree} polynomial is not divisible by degree {ddeg}"
-            )
-        quotient = [Fraction(0)] * (self.degree - ddeg + 1)
-        for i in range(len(quotient) - 1, -1, -1):
-            q = remainder[i + ddeg] / dlead
-            quotient[i] = q
-            if q:
-                for j, dc in enumerate(dcoeffs):
-                    remainder[i + j] -= q * dc
-        if any(r != 0 for r in remainder):
-            raise InexactDivisionError("nonzero remainder in exact polynomial division")
-        if any(q.denominator != 1 for q in quotient):
-            raise InexactDivisionError("quotient is not an integer polynomial")
-        return IntPolynomial(int(q) for q in quotient)
+        coeffs = self.coefficients
+        for done in range(k):
+            sums = list(accumulate(coeffs))
+            if sums and sums[-1]:
+                raise InexactDivisionError(
+                    f"(1-t)^{k} does not divide: pass {done + 1} leaves remainder {sums[-1]}"
+                )
+            coeffs = sums[:-1]
+        return IntPolynomial(coeffs)
 
 
 def decimal_string(value: Fraction, digits: int = 10) -> str:

@@ -99,8 +99,7 @@ def factor_out_unity_root(p: IntPolynomial, n: int) -> IntPolynomial:
     The quotient has degree at most C(n-1, 2); an inexact division would
     falsify the factorization and is surfaced as an error.
     """
-    divisor = IntPolynomial((1, -1)) ** (n - 1)
-    quotient = p.divide_exact(divisor)
+    quotient = p.divide_by_one_minus_t(n - 1)
     bound = binomial(n - 1, 2)
     if quotient.degree > bound:
         raise InexactDivisionError(

@@ -369,3 +369,11 @@ def evaluate_by_fractions(coefficients, t) -> Fraction:
     for c in reversed(coefficients):
         acc = acc * t + c
     return acc
+
+
+def multiply_by_one_minus_t(coeffs, k: int) -> list[int]:
+    """Coefficients of p(t) (1-t)^k: k products with (1 - t), term by term."""
+    out = list(coeffs)
+    for _ in range(k):
+        out = [a - b for a, b in zip(out + [0], [0] + out)]
+    return out

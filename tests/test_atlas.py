@@ -12,7 +12,7 @@ import pytest
 
 from mstlength.census import build_census
 from mstlength.cli import _verify_checks
-from mstlength.coefficients import cycle_transform_report
+from mstlength.coefficients import cycle_transform_value
 from mstlength.enumeration import build_rank_table
 from mstlength.expectation import expected_mst_length
 from mstlength.graphs import Graph, is_connected
@@ -79,11 +79,10 @@ def test_expectation_matches_the_ordering_oracle_up_to_6_edges():
 def test_cycle_transform_at_7_on_every_seven_vertex_graph():
     # The all-cycles reading of the i = 7 transform gives c7 on every graph
     # with 7 vertices; the literal minimum-rank reading on 59 of the 853.
-    reports = [
-        cycle_transform_report(build_census(g, max_cycle_len=7), 7)
-        for g in connected_atlas()
-        if g.n == 7
-    ]
-    assert len(reports) == 853
-    assert all(report.matches_all_cycles for report in reports)
-    assert sum(report.matches for report in reports) == 59
+    censuses = [build_census(g, max_cycle_len=7) for g in connected_atlas() if g.n == 7]
+    assert len(censuses) == 853
+    assert all(
+        cycle_transform_value(census, 7, all_cycles=True) == census.cycle_count(7)
+        for census in censuses
+    )
+    assert sum(cycle_transform_value(census, 7) == census.cycle_count(7) for census in censuses) == 59

@@ -788,6 +788,30 @@ def test_tutte_checks_match_fraction_oracle_on_corrupted_tables(g, data):
 
 
 @settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=6, max_m=10), st.data())
+def test_tau_and_p_rank_divide_exactly_past_the_nullity(g, data):
+    # A cell (l, r) with l - r above the nullity m - n + 1 gives T and T_x
+    # y-terms past it, so tau and p_rank are divided by a power of (1-t);
+    # both must still be T and T_x on the hyperbola, times the same factors.
+    n, m = g.n, g.m
+    l = data.draw(st.integers(m - n + 2, m))
+    r = data.draw(st.integers(0, l - (m - n + 2)))
+    delta = data.draw(st.sampled_from([-1, 1, 7]))
+    bumped = RankTable(n, m, {**build_rank_table(g).counts, (l, r): delta})
+    assert max(j for _, j in bumped.tutte) > m - n + 1
+    t = data.draw(st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)]))
+    x, y = 1 / t, 1 / (1 - t)
+
+    def at_point(poly):
+        return sum((c * x**i * y**j for (i, j), c in poly.items()), Fraction(0))
+
+    assert bumped.tau.evaluate(t) == at_point(bumped.tutte) * t ** (n - 1) * (1 - t) ** (m - n + 1)
+    assert bumped.rank_integrand.evaluate(t) == (
+        at_point(bumped.tutte_x) * t ** (n - 2) * (1 - t) ** (m - n + 2)
+    )
+
+
+@settings(max_examples=40, deadline=None)
 @given(connected_graphs(), st.data())
 def test_tutte_and_tutte_x_are_zero_free_coefficient_maps(g, data):
     table = build_rank_table(g)

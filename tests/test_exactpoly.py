@@ -1,13 +1,14 @@
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from mstlength.errors import InexactDivisionError
 from mstlength.exactpoly import IntPolynomial, binomial, decimal_string
 
-from .oracles import evaluate_by_fractions
+from .oracles import evaluate_by_fractions, multiply_by_one_minus_t
 
 small_polys = st.builds(
     IntPolynomial, st.lists(st.integers(-50, 50), max_size=6)
@@ -20,7 +21,7 @@ def test_poly_eval_k32_integrand_at_one():
 
 
 def test_poly_eval_zero_and_rational_point():
-    assert IntPolynomial.zero().evaluate(Fraction(3, 7)) == 0
+    assert IntPolynomial().evaluate(Fraction(3, 7)) == 0
     assert IntPolynomial([1, -1]).evaluate(Fraction(1, 3)) == Fraction(2, 3)
 
 
@@ -44,7 +45,7 @@ def test_evaluate_matches_fraction_horner(p, t):
 
 @given(sample_points)
 def test_evaluate_zero_polynomial(t):
-    value = IntPolynomial.zero().evaluate(t)
+    value = IntPolynomial().evaluate(t)
     assert isinstance(value, Fraction) and value == 0
 
 
@@ -60,17 +61,19 @@ def test_integrate_unit_interval_examples():
     assert IntPolynomial([2, -3, 0, 1]).integrate_unit_interval() == Fraction(3, 4)
 
 
-def test_divide_exact_examples():
+def test_divide_by_one_minus_t_examples():
     k3_integrand = IntPolynomial([2, -3, 0, 1])
-    one_minus_t_sq = IntPolynomial([1, -2, 1])
-    assert k3_integrand.divide_exact(one_minus_t_sq) == IntPolynomial([2, 1])
-    assert IntPolynomial([1, -1]).divide_exact(IntPolynomial([1, -1])) == IntPolynomial([1])
+    assert k3_integrand.divide_by_one_minus_t(2) == IntPolynomial([2, 1])
+    assert k3_integrand.divide_by_one_minus_t(0) == k3_integrand
+    assert IntPolynomial([1, -1]).divide_by_one_minus_t(1) == IntPolynomial([1])
+    for k in range(7):
+        assert IntPolynomial().divide_by_one_minus_t(k) == IntPolynomial()
     with pytest.raises(InexactDivisionError):
-        IntPolynomial([1, 0, 1]).divide_exact(IntPolynomial([1, -1]))
+        IntPolynomial([1, 0, 1]).divide_by_one_minus_t(1)
     with pytest.raises(InexactDivisionError):
-        IntPolynomial([1]).divide_exact(IntPolynomial([2]))
-    with pytest.raises(ZeroDivisionError):
-        IntPolynomial([1]).divide_exact(IntPolynomial.zero())
+        IntPolynomial([1, -2, 1]).divide_by_one_minus_t(3)
+    with pytest.raises(InexactDivisionError):
+        IntPolynomial([2]).divide_by_one_minus_t(1)
 
 
 def test_trailing_zeros_stripped():
@@ -79,22 +82,32 @@ def test_trailing_zeros_stripped():
     assert IntPolynomial([0]).degree == -1
 
 
-def test_pow_and_shift():
-    assert IntPolynomial([1, -1]) ** 2 == IntPolynomial([1, -2, 1])
-    assert IntPolynomial([1]).shift(3) == IntPolynomial([0, 0, 0, 1])
-    assert IntPolynomial([1, 1]) ** 0 == IntPolynomial.one()
+def test_one_minus_t_power_oracle():
+    assert multiply_by_one_minus_t([1], 2) == [1, -2, 1]
+    assert multiply_by_one_minus_t([2, 1], 2) == [2, -3, 0, 1]
+    assert multiply_by_one_minus_t([5, 7], 0) == [5, 7]
 
 
-@given(small_polys, small_polys)
-def test_divide_round_trip(q, d):
-    if d.is_zero:
-        return
-    assert (d * q).divide_exact(d) == q
+@given(small_polys, st.integers(0, 6))
+def test_divide_round_trip(q, k):
+    product = IntPolynomial(multiply_by_one_minus_t(q.coefficients, k))
+    assert product.divide_by_one_minus_t(k) == q
+
+
+@given(small_polys, st.integers(0, 5))
+def test_divide_refuses_when_p_of_one_is_not_zero(q, k):
+    # q (1-t)^k divides k times; pass k + 1 meets q(1) != 0
+    assume(q.evaluate(1) != 0)
+    product = IntPolynomial(multiply_by_one_minus_t(q.coefficients, k))
+    with pytest.raises(InexactDivisionError):
+        product.divide_by_one_minus_t(k + 1)
 
 
 @given(small_polys, small_polys)
 def test_integration_is_linear(p, q):
-    assert (p + q).integrate_unit_interval() == (
+    a, b = p.coefficients, q.coefficients
+    summed = IntPolynomial(x + y for x, y in zip_longest(a, b, fillvalue=0))
+    assert summed.integrate_unit_interval() == (
         p.integrate_unit_interval() + q.integrate_unit_interval()
     )
 
