@@ -39,14 +39,29 @@ digit.  A digit counts subsets of at most m edges of one size, so it is at
 most C(m, r + nu) <= C(63, 31) < 2^63 and no digit carries; an int holds at
 most m - n + c + 1 digits for a graph with c components.
 
-The star of the last vertex x in BFS order takes no step: each edge of x
-joins it to a frontier vertex or to a vertex first seen there, a block of its
-own, and s >= 1 edges into one block add one rank and s - 1 nullity.  So the
-states are grouped by rank and block sizes, and each group's summed int is
-multiplied by the packed nullity polynomial of each rank gain.  Every digit of
-a product, or of a sum of them, counts subsets of one final cell (l, r), so
-it is at most C(m, l) < 2^63 and no digit carries.  K_n peaks at the Bell(n-1)
-partitions of the vertices that wait for x.
+The stars of the last two vertices in BFS order, y and then x, take no step:
+when the sweep reaches y's first edge, each active vertex has edges left only
+to y, to x or to both, and a vertex first seen in the stars is a block of its
+own.  So a state's completion depends only on its rank and on the ties of its
+blocks, Y_B edges to y and X_B to x, and on the e edges that join y and x.
+With f_b(w) = ((1 + w)^b - 1) / w (s >= 1 of b edges into one block add one
+rank and s - 1 nullity), the completion in rank gain z and nullity gain w is
+G = A + z ((1 + w)^e A' - A) / w, where A = prod_B (1 + z (f_X_B + f_Y_B))
+counts the subsets that keep y and x apart and A' = prod_B (1 + z f_(X_B+Y_B))
+every subset with y and x taken as one vertex: a subset that joins them gains
+one rank more and one nullity less than that.  The states are grouped by rank
+and sorted ties, and each group's summed int is multiplied by the packed
+w-polynomial of each rank gain.  K_n peaks at the Bell(n-2) partitions of the
+vertices that wait for y and x.
+
+No digit of the finish borrows or carries.  f_(X+Y) = f_X + (1 + w)^X f_Y, so
+each factor of A' is at least A's digit by digit, with the same w^0 digit
+X + Y: every digit of (1 + w)^e A' is at least A's and the w^0 digits are
+equal, so the packed subtraction never borrows and dropping its lowest digit,
+which is 0, divides by w exactly.  A digit of A or of (1 + w)^e A' counts
+subsets of the stars' edges of one size, and every digit of a product with a
+state's int, or of a sum of them, counts subsets of one final cell (l, r):
+each is at most C(m, l) <= C(63, 31) < 2^63, so no digit carries.
 """
 
 from __future__ import annotations
@@ -332,39 +347,72 @@ def _runs(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(opens_run)
 
 
-@lru_cache(maxsize=None)
-def _star_factor(sizes: tuple[int, ...]) -> tuple[int, ...]:
-    """The packed w-polynomials of z^0..z^len(sizes) in prod_b (1 + z f_b(w)).
+# A block's ties to the last two vertices, Y edges to y and X to x, are the one
+# int Y * _TIE_RADIX + X; X is at most m <= 63.
+_TIE_RADIX = 64
 
-    s >= 1 edges from x into a block of b vertices add one rank (z) and s - 1
-    nullity (w): f_b(w) = sum_{s=1..b} C(b, s) w^(s-1), and w^j is digit j.
+
+@lru_cache(maxsize=1024)
+def _tie_factors(tie: int) -> tuple[int, int]:
+    """f_X + f_Y and f_(X+Y), packed by w, for a block of ``tie`` = Y * _TIE_RADIX + X.
+
+    f_b(w) = ((1 + w)^b - 1) / w = sum_{s=1..b} C(b, s) w^(s-1): s >= 1 of b
+    edges into one block add one rank and s - 1 nullity.
     """
-    factor = [1]
-    for b in sizes:
-        f = sum(binomial(b, s) << (_DIGIT_BITS * (s - 1)) for s in range(1, b + 1))
-        factor = [a + c * f for a, c in zip(factor + [0], [0] + factor)]
-    return tuple(factor)
+    ys, xs = divmod(tie, _TIE_RADIX)
+    f = [sum(binomial(b, s) << (_DIGIT_BITS * (s - 1)) for s in range(1, b + 1)) for b in (xs, ys, xs + ys)]
+    return f[0] + f[1], f[2]
 
 
-def _finish_star(
-    labels: np.ndarray, rank: np.ndarray, vec: np.ndarray, singles: int
+def _two_star_factor(ties: tuple[int, ...], yx: int) -> list[int]:
+    """The packed w-polynomials of z^0, z^1, ... in G = A + z ((1 + w)^yx A' - A) / w.
+
+    A = prod_B (1 + z (f_X + f_Y)) counts the subsets that keep y and x
+    apart, and (1 + w)^yx A' = (1 + w)^yx prod_B (1 + z f_(X+Y)) every subset
+    with y and x taken as one vertex, where the yx (0 or 1) edges between
+    them are loops; a subset that joins them gains one rank more and one
+    nullity less than it would with y and x as one.
+    """
+    apart, joined = [1], [1 + (yx << _DIGIT_BITS)]
+    for tie in filter(None, ties):
+        # times (1 + z f) and (1 + z f_joined), in place from the top
+        f, f_joined = _tie_factors(tie)
+        apart.append(0)
+        joined.append(0)
+        for k in range(len(apart) - 1, 0, -1):
+            apart[k] += apart[k - 1] * f
+            joined[k] += joined[k - 1] * f_joined
+    # (1 + w)^yx A' is at least A digit by digit, with the same w^0 digit: the
+    # difference borrows nothing, and the shift divides it by w exactly.
+    return [a + ((j - c) >> _DIGIT_BITS) for a, j, c in zip(apart + [0], [0] + joined, [0] + apart)]
+
+
+def _finish_stars(
+    labels: np.ndarray, rank: np.ndarray, vec: np.ndarray, ties: list[int], yx: int
 ) -> dict[int, int]:
-    """The packed counts of each final rank, from the states before x's star.
+    """The packed counts of each final rank, from the states before the stars of y and x.
 
-    Each active vertex has one edge to x left, and ``singles`` more edges of x
-    reach vertices first seen in the star.
+    ``ties`` holds Y * _TIE_RADIX + X, the edges to y and to x, of each
+    active slot and then of each vertex first seen in the stars, and ``yx``
+    (0 or 1) edges join y and x.
     """
     rows, width = labels.shape
-    slots = labels + width * np.arange(rows)[:, None]
-    sizes = np.sort(np.bincount(slots.ravel(), minlength=rows * width).reshape(rows, width))
-    order, starts = _runs([*sizes.T, rank])
+    blocks, every_row = np.zeros((rows, width), dtype=np.int64), np.arange(rows)
+    for s, tie in enumerate(ties[:width]):
+        # slot s adds its ties to its block, named by the block's first slot
+        blocks[every_row, labels[:, s]] += tie
+    blocks.sort()
+    order, starts = _runs([*blocks.T, rank])
     kept = order[starts]
     sums = np.add.reduceat(vec[order], starts)
+    fresh = tuple(ties[width:])
+    factors: dict[tuple[int, ...], list[int]] = {}  # one G per distinct row, in this call only
     final: dict[int, int] = {}
-    for row, low, packed in zip(sizes[kept].tolist(), rank[kept].tolist(), sums):
-        blocks = tuple(b for b in row if b) + (1,) * singles
-        for r, factor in enumerate(_star_factor(blocks), start=low):
-            final[r] = final.get(r, 0) + packed * factor
+    for row, low, packed in zip(map(tuple, blocks[kept].tolist()), rank[kept].tolist(), sums):
+        if row not in factors:
+            factors[row] = _two_star_factor(row + fresh, yx)
+        for r, f in enumerate(factors[row], start=low):
+            final[r] = final.get(r, 0) + packed * f
     return final
 
 
@@ -374,9 +422,13 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     last_step = {w: step for step, e in steps for w in g.edges[e]}
     first_step = {w: step for step, e in reversed(steps) for w in g.edges[e]}
     # The last vertex x, the later-seen end of the last edge, has the largest
-    # BFS position, so its edges are the tail of the sweep: its star.
+    # BFS position, so its edges are the tail of the sweep: its star.  The
+    # later-seen end y of the edge before that star is the vertex before x,
+    # and y's star comes just before x's.
     x = max(g.edges[edge_order[-1]], key=first_step.__getitem__) if g.m else -1
     stop = first_step.get(x, g.m)
+    y = max(g.edges[edge_order[stop - 1]], key=first_step.__getitem__) if stop else -1
+    stop = first_step.get(y, stop)
 
     active: list[int] = []
     # One state per row: block labels aligned with `active`, the rank, and
@@ -418,9 +470,12 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
         kept = order[starts]
         labels, rank = children[kept], child_rank[kept]
 
-    singles = sum(w not in active for e in edge_order[stop:] for w in g.edges[e] if w != x)
+    # Every edge left joins y or x to an active vertex, to a vertex first seen
+    # in the stars, or y to x.
+    first_seen = {w for e in edge_order[stop:] for w in g.edges[e]} - {x, y, *active}
+    ties = [g.has_edge(w, y) * _TIE_RADIX + g.has_edge(w, x) for w in active + sorted(first_seen)]
     counts: dict[tuple[int, int], int] = {}
-    for r, packed in _finish_star(labels, rank, vec, singles).items():
+    for r, packed in _finish_stars(labels, rank, vec, ties, g.has_edge(x, y)).items():
         nullity = 0
         while packed:
             digit = packed & _DIGIT_MASK

@@ -261,24 +261,24 @@ def test_budget_refusal_stops_inside_the_step(monkeypatch):
         return combine(vec, joins, order, starts)
 
     monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
-    # K_7's edges 16-21 are the last vertex's star, which takes no step; step 15
-    # reaches all 203 partitions of the other six vertices
-    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", 200)
-    with pytest.raises(FrontierOverflowError, match=r"budget of 200 partition states \(reached at edge 15/21\)"):
+    # K_7's edges 11-21 are the stars of the last two vertices, which take no
+    # step; step 10 reaches all 52 partitions of the other five vertices
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", 50)
+    with pytest.raises(FrontierOverflowError, match=r"budget of 50 partition states \(reached at edge 10/21\)"):
         _frontier_counts(complete_graph(7))
-    # steps 1-14 added their counts; the refusing step 15 added none
-    assert len(merged) == 14 and max(merged) <= 200
+    # steps 1-9 added their counts; the refusing step 10 added none
+    assert len(merged) == 9 and max(merged) <= 50
 
 
 @pytest.mark.parametrize(
     "g, peak",
     [
-        (complete_graph(8), 877),
-        (complete_graph(9), 4140),
+        (complete_graph(8), 203),
+        (complete_graph(9), 877),
         (grid_graph(5, 5), 463),
-        (cycle_graph(20), 19),
+        (cycle_graph(20), 18),
         # rooted on the 6-vertex side, of degree 4; the 4-vertex side gave 1232
-        (bipartite_graph(4, 6), 190),
+        (bipartite_graph(4, 6), 143),
     ],
     ids=["K8", "K9", "grid5x5", "C20", "K4_6"],
 )
@@ -301,11 +301,11 @@ def _bell(n: int) -> int:
     return bell[n]
 
 
-@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("n", range(4, 11))
 def test_complete_graph_peaks_at_bell_states(monkeypatch, n):
-    # The star of K_n's last vertex takes no step, so the widest frontier is
-    # every partition of the other n - 1 vertices, as many as Bell(n - 1).
-    peak = _bell(n - 1)
+    # The stars of K_n's last two vertices take no step, so the widest frontier
+    # is every partition of the other n - 2 vertices, as many as Bell(n - 2).
+    peak = _bell(n - 2)
     monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak)
     assert _frontier_counts(complete_graph(n))[(n - 1, n - 1)] == n ** (n - 2)
     monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak - 1)
@@ -314,11 +314,11 @@ def test_complete_graph_peaks_at_bell_states(monkeypatch, n):
 
 
 @pytest.mark.parametrize(
-    "g, star",
-    [(path_graph(19), 1), (cycle_graph(20), 2), (complete_graph(9), 8), (grid_graph(5, 5), 2)],
+    "g, stars",
+    [(path_graph(19), 2), (cycle_graph(20), 3), (complete_graph(9), 15), (grid_graph(5, 5), 4)],
     ids=["P19", "C20", "K9", "grid5x5"],
 )
-def test_counts_are_packed_by_nullity(monkeypatch, g, star):
+def test_counts_are_packed_by_nullity(monkeypatch, g, stars):
     # A connected graph's subsets have nullity 0..m - n + 1, one digit each: a
     # tree's counts fit one digit and a cycle's two, whatever the edge count.
     widest = []
@@ -331,40 +331,99 @@ def test_counts_are_packed_by_nullity(monkeypatch, g, star):
 
     monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
     counts = _frontier_counts(g)
-    # one step per edge up to the star of the last vertex, of degree `star`
-    assert len(widest) == g.m - star
+    # one step per edge up to the stars of the last two vertices, `stars` edges
+    assert len(widest) == g.m - stars
     assert max(widest) <= _DIGIT_BITS * (g.m - g.n + 2)
     assert counts[(g.m, g.n - 1)] == 1
 
 
-def _compositions(total: int) -> list[tuple[int, ...]]:
-    """Every tuple of positive ints that sums to ``total``."""
+# Every tie (Y, X) of a block to the last two vertices y and x, by edge count.
+_TIES = [(ys, b - ys) for b in range(1, 8) for ys in range(b + 1)]
+
+
+def _tie_tuples(total: int, start: int = 0) -> list[tuple[tuple[int, int], ...]]:
+    """Every sorted tuple of ties from ``_TIES[start:]`` whose edges sum to ``total``."""
     if total == 0:
         return [()]
-    return [(b, *rest) for b in range(1, total + 1) for rest in _compositions(total - b)]
+    return [
+        (tie, *rest)
+        for i, tie in enumerate(_TIES[start:], start)
+        if sum(tie) <= total
+        for rest in _tie_tuples(total - sum(tie), i)
+    ]
+
+
+def _digits(packed: int, count: int) -> list[int]:
+    return [packed >> (_DIGIT_BITS * j) & ((1 << _DIGIT_BITS) - 1) for j in range(count)]
+
+
+def _times_one_plus_z(poly: list[int], f: int) -> list[int]:
+    return [a + c * f for a, c in zip(poly + [0], [0] + poly)]
+
+
+def _star_cells(blocks: tuple[tuple[int, int], ...], yx: int) -> tuple[dict, dict]:
+    """(rank gain, nullity gain) counts of every subset of the two stars, and
+    of those that keep y and x apart, by a union-find per subset."""
+    y, x = len(blocks), len(blocks) + 1
+    edges = [(b, y) for b, (ys, _) in enumerate(blocks) for _ in range(ys)]
+    edges += [(b, x) for b, (_, xs) in enumerate(blocks) for _ in range(xs)]
+    edges += [(y, x)] * yx
+    cells: dict[tuple[int, int], int] = {}
+    apart: dict[tuple[int, int], int] = {}
+    root: list[int] = []
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for mask in range(1 << len(edges)):
+        root[:] = range(x + 1)
+        gain = 0
+        for i, (a, b) in enumerate(edges):
+            a, b = find(a), find(b)
+            if mask >> i & 1 and a != b:
+                root[a] = b
+                gain += 1
+        cell = (gain, mask.bit_count() - gain)
+        cells[cell] = cells.get(cell, 0) + 1
+        if find(y) != find(x):
+            apart[cell] = apart.get(cell, 0) + 1
+    return cells, apart
+
+
+def _unpacked(poly: list[int], digits: int) -> dict[tuple[int, int], int]:
+    """The nonzero cells (z degree, w degree) of a z-polynomial packed by w."""
+    cells = {(k, j): d for k, packed in enumerate(poly) for j, d in enumerate(_digits(packed, digits))}
+    return {cell: c for cell, c in cells.items() if c}
 
 
 @pytest.mark.parametrize("total", range(8))
 def test_star_factor_matches_subsets(total):
-    for sizes in _compositions(total):
-        # Edge i of the star goes into block blocks[i]; a subset of the star
-        # joins the blocks it touches (one rank each) and closes one cycle per
-        # other edge.
-        blocks = [b for b, size in enumerate(sizes) for _ in range(size)]
-        cells: dict[tuple[int, int], int] = {}
-        for mask in range(1 << total):
-            touched = {blocks[i] for i in range(total) if mask >> i & 1}
-            cell = (len(touched), mask.bit_count() - len(touched))
-            cells[cell] = cells.get(cell, 0) + 1
-        factor = enumeration._star_factor(sizes)
-        assert len(factor) == len(sizes) + 1, sizes
-        unpacked = {
-            (k, j): packed >> (_DIGIT_BITS * j) & ((1 << _DIGIT_BITS) - 1)
-            for k, packed in enumerate(factor)
-            for j in range(total + 1)
-        }
-        assert {cell: c for cell, c in unpacked.items() if c} == cells, sizes
-        assert all(packed >> (_DIGIT_BITS * (total + 1)) == 0 for packed in factor), sizes
+    # A tie (1, 0), (0, 1) or (1, 1) is also that of a vertex first seen in
+    # the stars, a block of its own.
+    for blocks in _tie_tuples(total):
+        for yx in (0, 1):
+            edges = total + yx
+            cells, apart_cells = _star_cells(blocks, yx)
+            ties = [ys * enumeration._TIE_RADIX + xs for ys, xs in blocks]
+            factor = enumeration._two_star_factor(ties, yx)
+            assert len(factor) == len(blocks) + 2, blocks
+            assert _unpacked(factor, edges + 1) == cells, (blocks, yx)
+            assert all(packed >> (_DIGIT_BITS * (edges + 1)) == 0 for packed in factor), blocks
+            # The subtraction (1 + w)^yx A' - A, digit by digit: none borrows,
+            # and the w^0 digit is 0, so dropping it divides by w exactly.
+            apart, joined = [1], [1]
+            for tie in ties:
+                f, f_joined = enumeration._tie_factors(tie)
+                apart, joined = _times_one_plus_z(apart, f), _times_one_plus_z(joined, f_joined)
+            if yx:
+                joined = [c + (c << _DIGIT_BITS) for c in joined]
+            assert _unpacked(apart, edges + 1) == apart_cells, (blocks, yx)
+            for a, j in zip(apart, joined):
+                da, dj = _digits(a, edges + 2), _digits(j, edges + 2)
+                assert all(p >= q for p, q in zip(dj, da)) and dj[0] == da[0], (blocks, yx)
+                assert _digits(j - a, edges + 2) == [p - q for p, q in zip(dj, da)], (blocks, yx)
 
 
 @pytest.mark.parametrize(
@@ -373,17 +432,24 @@ def test_star_factor_matches_subsets(total):
         # a pendant vertex whose only edge goes to the last vertex: it is
         # first seen in the star, as a block of its own
         Graph(2, ((0, 1),)),
+        # the last two vertices joined, and both joined to the first
+        complete_graph(3),
+        # K_{2,3} from a degree-2 root: the last two vertices share no edge
+        bipartite_graph(2, 3),
         # a path, then an isolated edge that is the whole last star
         Graph(5, ((0, 1), (1, 2), (3, 4))),
+        # a second component, a triangle on y, x and a vertex first seen in
+        # the stars: a block of its own, tied to both y and x
+        Graph(5, ((0, 1), (2, 3), (2, 4), (3, 4))),
         # a triangle with two tails: the last vertex is the far tail's end
         Graph(5, ((0, 1), (1, 2), (2, 3), (1, 3), (3, 4))),
-        # no edges: the sweep has no last vertex and the finish no star
+        # no edges: the sweep has no last vertex and the finish no stars
         Graph(4),
-        # K_{1,5}: the last vertex is a leaf and its star one edge
+        # K_{1,5}: the last two vertices are leaves and each star one edge
         Graph(6, tuple((0, i) for i in range(1, 6))),
         complete_graph(5),
     ],
-    ids=["K2", "path_then_edge", "triangle_tails", "edgeless", "K1_5", "K5"],
+    ids=["K2", "K3", "K2_3", "path_then_edge", "triangle_tails", "fresh_in_y_star", "edgeless", "K1_5", "K5"],
 )
 def test_finish_matches_the_subset_oracle(g):
     assert _frontier_counts(g) == rank_counts_by_subsets(g)
@@ -392,13 +458,13 @@ def test_finish_matches_the_subset_oracle(g):
 @pytest.mark.parametrize("g", [complete_graph(9), grid_graph(5, 5)], ids=["K9", "grid5x5"])
 def test_finish_digits_do_not_carry(monkeypatch, g):
     finals = []
-    finish = enumeration._finish_star
+    finish = enumeration._finish_stars
 
     def recording_finish(*args):
         finals.append(finish(*args))
         return finals[-1]
 
-    monkeypatch.setattr(enumeration, "_finish_star", recording_finish)
+    monkeypatch.setattr(enumeration, "_finish_stars", recording_finish)
     counts = _frontier_counts(g)
     (final,) = finals
     digits = {
@@ -589,12 +655,32 @@ def _tutte_at(tutte: dict[tuple[int, int], int], x: int, y: int) -> int:
     return sum(c * x**i * y**j for (i, j), c in tutte.items())
 
 
+# K_12 minus the matching (0, 1), (2, 3), (4, 5): 63 edges, the edge limit
+_K12_MINUS_MATCHING = Graph(
+    12,
+    (
+        (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (0, 10), (0, 11),
+        (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (1, 11),
+        (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (2, 11),
+        (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (3, 11),
+        (4, 6), (4, 7), (4, 8), (4, 9), (4, 10), (4, 11),
+        (5, 6), (5, 7), (5, 8), (5, 9), (5, 10), (5, 11),
+        (6, 7), (6, 8), (6, 9), (6, 10), (6, 11),
+        (7, 8), (7, 9), (7, 10), (7, 11),
+        (8, 9), (8, 10), (8, 11),
+        (9, 10), (9, 11),
+        (10, 11),
+    ),
+)
+
 _TUTTE_CORPUS = [
     complete_graph(5),
     complete_graph(8),
     complete_graph(9),
-    # finished from the Bell(9) = 21147 partitions of the other nine vertices
+    # finished from the Bell(8) = 4140 partitions of the other eight vertices
     complete_graph(10),
+    complete_graph(11),
+    _K12_MINUS_MATCHING,
     bipartite_graph(4, 6),
     cycle_graph(30),
     grid_graph(5, 5),
@@ -602,7 +688,9 @@ _TUTTE_CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("g", _TUTTE_CORPUS, ids=["K5", "K8", "K9", "K10", "K46", "C30", "grid5", "grid6"])
+@pytest.mark.parametrize(
+    "g", _TUTTE_CORPUS, ids=["K5", "K8", "K9", "K10", "K11", "K12-M", "K46", "C30", "grid5", "grid6"]
+)
 def test_tutte_matches_its_special_values(g):
     # the only exact oracle for tables too large for the subset loop
     tutte = build_rank_table(g, cap=g.m).tutte
