@@ -4,8 +4,9 @@ Reproducibility contract: trial i draws its weights from a Philox4x64 counter
 stream keyed by (seed, i // BLOCK_TRIALS), row i % BLOCK_TRIALS -- a pure
 function of the seed and the trial index.  The seed is one 64-bit key word,
 so it must lie in [0, 2**64).  Block boundaries are fixed, worker
-processes only ever split on block boundaries, and aggregation uses exact
-summation (math.fsum), so the estimate is bit-identical for any worker count.
+processes only ever split on block boundaries, and the statistics come from
+exact integer sums, which do not depend on order, so the estimate is
+bit-identical for any worker count.
 
 Every weight is an integer tick on the 2**-53 lattice, as numpy's
 ``Generator.random()`` makes it from the same 64-bit word, so one block is one
@@ -17,7 +18,9 @@ Components are kept as a label matrix, one contiguous row of labels per edge
 endpoint and a column per trial: an accepted edge renames the larger of its two
 labels to the smaller in its trial's column.  Each row adds its accepted weights
 in rank order, exactly as the scalar reference ``mst_length_for_weights`` does,
-so every per-trial length is the same float.
+so every per-trial length is the same float.  Every length is k * 2**-53 for
+an integer k, so ``simulate`` sums k and k**2 exactly in integers and rounds
+the total and the sample variance once each.
 
 Floating point is confined to this module; everything exact lives elsewhere.
 """
@@ -29,7 +32,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -38,6 +40,8 @@ from .graphs import Graph, find, is_connected
 
 BLOCK_TRIALS = 4096
 GENERATOR_ID = f"philox4x64-keyed-blocks-{BLOCK_TRIALS}"
+_LIMB_BITS = 20
+_SUM_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,13 @@ def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], ticks: np.ndarray) 
     trial is a loop, so it stays in the matrix and adds nothing.  A trial
     that never gets n - 1 tree edges (a disconnected graph) ends with its
     spanning forest's length, as the reference does.
+
+    Every length is k * 2**-53 for an integer k <= m * 2**53 < 2**59.  A
+    float sum of multiples of 2**-53 rounds to one: below 1 it is j * 2**-53
+    with j < 2**53, a float, and from 1 up the float spacing is 2**-52 or
+    more.  A total adds at most n - 1 <= m weights, each below 1, and
+    rounding is monotone, so after j additions it is at most j: the length
+    is at most m <= MAX_EDGES = 63 < 2**6.
     """
     rows, m = ticks.shape
     keys = ticks.view(np.int64)
@@ -181,8 +192,41 @@ def _simulate_blocks(
     return np.concatenate(lengths)
 
 
+def _lattice_sums(lengths: np.ndarray) -> tuple[int, int]:
+    """Exact sums of k and k**2 over ``lengths``, where length = k * 2**-53.
+
+    k < 2**59 (``_mst_lengths``) splits into three L = _LIMB_BITS = 20 bit
+    limbs, k = a + b * 2**L + c * 2**2L, so k**2 = a*a + 2ab * 2**L +
+    (b*b + 2ac) * 2**2L + 2bc * 2**3L + c*c * 2**4L: six limb products, each
+    below 2**40.  One int64 sum takes at most _SUM_ROWS = 2**16 rows, so it
+    stays below 2**56 < 2**63 and never wraps (2**23 rows would still fit;
+    2**16 keeps each temporary at 512 KB).  The slices are combined as Python
+    ints, so any number of lengths sums exactly, in any order.
+    """
+    bits = _LIMB_BITS
+    mask = (1 << bits) - 1
+    total = square = 0
+    for start in range(0, len(lengths), _SUM_ROWS):
+        k = (lengths[start : start + _SUM_ROWS] * 2**53).astype(np.int64)
+        a, b, c = k & mask, (k >> bits) & mask, k >> 2 * bits
+        total += int(a.sum()) + (int(b.sum()) << bits) + (int(c.sum()) << 2 * bits)
+        square += (
+            int(a @ a)
+            + (int(a @ b) << bits + 1)
+            + ((int(b @ b) + 2 * int(a @ c)) << 2 * bits)
+            + (int(b @ c) << 3 * bits + 1)
+            + (int(c @ c) << 4 * bits)
+        )
+    return total, square
+
+
 def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimate:
-    """Estimate E[L(g)] from `trials` independent uniform weight draws."""
+    """Estimate E[L(g)] from `trials` independent uniform weight draws.
+
+    The mean is the exact total of the lengths, rounded once, over `trials`;
+    the standard error is sqrt(s**2 / trials), s**2 the exact sample variance
+    rounded once.  Both come from the integer sums of ``_lattice_sums``.
+    """
     if not is_connected(g):
         raise DisconnectedGraphError("Monte Carlo MST length requires a connected graph")
     if trials < 1:
@@ -213,13 +257,11 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
                 for i in range(workers)
             ]
             per_trial = np.concatenate([future.result() for future in futures])
-    mean = math.fsum(per_trial.tolist()) / trials
+    total, square = _lattice_sums(per_trial)
+    mean = math.ldexp(float(total), -53) / trials
     if trials > 1:
-        # numpy subtracts float64s as Python floats do, and pow(d, 2) is the
-        # same C float_pow as d ** 2: every term is the float a loop would make.
-        squares = map(pow, (per_trial - mean).tolist(), repeat(2))
-        variance = math.fsum(squares) / (trials - 1)
-        stderr = math.sqrt(variance / trials)
+        variance = Fraction(trials * square - total * total, trials * (trials - 1) << 106)
+        stderr = math.sqrt(float(variance) / trials)
     else:
         stderr = 0.0
     return McEstimate(

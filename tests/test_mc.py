@@ -148,6 +148,25 @@ def _reference_lengths(g, seed, first, last):
     return lengths
 
 
+def _exact_estimate(lengths):
+    """Mean and stderr of ``lengths`` from exact rationals, each rounded once.
+
+    The variance is the two-pass sum of squared deviations, in integers on
+    the 2**-53 lattice: sum((T k_i - K)**2) / (T**2 (T - 1)) * 2**-106.
+    """
+    trials = len(lengths)
+    ks = [x * 2**53 for x in lengths]
+    assert all(k.is_integer() for k in ks)
+    ks = [int(k) for k in ks]
+    total = sum(ks)
+    mean = float(Fraction(total, 2**53)) / trials
+    if trials == 1:
+        return mean, 0.0
+    squares = sum((trials * k - total) ** 2 for k in ks)
+    variance = Fraction(squares, trials * trials * (trials - 1) * 2**106)
+    return mean, math.sqrt(float(variance) / trials)
+
+
 def test_simulate_matches_reference_per_trial():
     # Single trials, a whole block, and a range that starts mid-block and
     # crosses into the next one: every length bit for bit as the reference.
@@ -173,10 +192,46 @@ def test_simulate_matches_reference_per_trial():
     expected = _reference_lengths(g, seed, 0, trials)
     est = simulate(g, trials, seed=seed)
     mean = math.fsum(expected) / trials
-    variance = math.fsum((x - mean) ** 2 for x in expected) / (trials - 1)
     assert est.mean == mean
-    assert est.stderr == math.sqrt(variance / trials)
+    assert est.stderr == _exact_estimate(expected)[1]
     assert (est.min_length, est.max_length) == (min(expected), max(expected))
+
+
+@pytest.mark.parametrize("trials", [1, 2, BLOCK_TRIALS + 1])
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(30)], ids=["K4", "C30"])
+def test_simulate_statistics_match_the_exact_oracle(g, trials):
+    lengths = _reference_lengths(g, 3, 0, trials)
+    est = simulate(g, trials, seed=3)
+    assert (est.mean, est.stderr) == _exact_estimate(lengths)
+    assert (est.min_length, est.max_length) == (min(lengths), max(lengths))
+
+
+def test_lattice_sum_widths():
+    # Three limbs hold the largest k, MAX_EDGES * 2**53, and a slice of
+    # _SUM_ROWS products of two limbs cannot wrap an int64 sum.
+    assert MAX_EDGES * 2**53 < 2 ** (3 * mc._LIMB_BITS)
+    assert mc._SUM_ROWS * (2**mc._LIMB_BITS - 1) ** 2 < 2**63
+
+
+def test_statistics_exact_at_the_top_of_the_range_across_a_slice(monkeypatch):
+    # A 63-edge tree (P_64) with every tick near 2**53 gives lengths near 63,
+    # k near 2**59; k = 2**53 - 1 fills both low limbs, the largest limb
+    # products.  _SUM_ROWS + 1 of them cross one slice boundary.
+    g = path_graph(64)
+    assert g.m == MAX_EDGES
+    top = np.random.default_rng(9).integers(2**53 - 2**20, 2**53, size=(64, g.m), dtype=np.uint64)
+    top[0] = 2**53 - 1
+    tree = _mst_lengths(g.n, g.edges, top)
+    assert tree.max() <= MAX_EDGES and tree.min() > MAX_EDGES - 1
+    lengths = np.resize(np.concatenate([tree, [(2**53 - 1) * 2**-53, 0.0]]), mc._SUM_ROWS + 1)
+    ks = [int(x * 2**53) for x in lengths.tolist()]
+    assert mc._lattice_sums(lengths) == (sum(ks), sum(k * k for k in ks))
+
+    trials = len(lengths)
+    monkeypatch.setattr(mc, "_simulate_blocks", lambda *args: lengths)
+    est = simulate(g, trials, seed=0)
+    assert (est.mean, est.stderr) == _exact_estimate(lengths.tolist())
+    assert est.mean == math.fsum(lengths.tolist()) / trials
 
 
 REFERENCES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
