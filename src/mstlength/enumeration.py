@@ -39,29 +39,39 @@ digit.  A digit counts subsets of at most m edges of one size, so it is at
 most C(m, r + nu) <= C(63, 31) < 2^63 and no digit carries; an int holds at
 most m - n + c + 1 digits for a graph with c components.
 
-The stars of the last two vertices in BFS order, y and then x, take no step:
-when the sweep reaches y's first edge, each active vertex has edges left only
-to y, to x or to both, and a vertex first seen in the stars is a block of its
-own.  So a state's completion depends only on its rank and on the ties of its
-blocks, Y_B edges to y and X_B to x, and on the e edges that join y and x.
+The stars of the last three vertices in BFS order, z, y and then x, take no
+step: when the sweep reaches z's first edge, every edge left joins a star to an
+active vertex, to a vertex first seen in the stars (a block of its own) or to
+another star.  (A graph whose star search reaches step 0 first is finished
+with stars that have no edges: no subset joins them, so they change no count.)
+So a state's completion depends only on its rank, on the edges among the star
+set S, and on each block B's tie vector t_B, its edges to each star.
 With f_b(w) = ((1 + w)^b - 1) / w (s >= 1 of b edges into one block add one
-rank and s - 1 nullity), the completion in rank gain z and nullity gain w is
-G = A + z ((1 + w)^e A' - A) / w, where A = prod_B (1 + z (f_X_B + f_Y_B))
-counts the subsets that keep y and x apart and A' = prod_B (1 + z f_(X_B+Y_B))
-every subset with y and x taken as one vertex: a subset that joins them gains
-one rank more and one nullity less than that.  The states are grouped by rank
-and sorted ties, and each group's summed int is multiplied by the packed
-w-polynomial of each rank gain.  K_n peaks at the Bell(n-2) partitions of the
-vertices that wait for y and x.
+rank and s - 1 nullity), gluing the stars of each block of a partition sigma
+of S into one vertex gives F(sigma) = (1 + w)^e(sigma)
+prod_B (1 + z sum_(C in sigma) f_(t_B(C))): the e(sigma) star-star edges
+inside a block of sigma are loops, and a block joins at most one glued star.
+F(sigma) counts the subsets that join the stars into a partition pi <= sigma,
+each weighted as if pi's stars were glued: by |S| - |pi| less rank and as much
+more nullity.  By Moebius inversion over the partition lattice (Rota, 1964),
+W(pi) = sum_(sigma <= pi) mu(sigma, pi) F(sigma), taken as F(pi) minus the W
+below it, counts the subsets that join the stars into pi exactly, and the
+completion is G = sum_pi z^(|S| - |pi|) W(pi) / w^(|S| - |pi|).  A block tied
+to one star joins no two stars: its factor is the same in every F(sigma), so it
+multiplies G instead.  The states are grouped by rank and sorted ties, and each
+group's summed int is multiplied by the packed w-polynomial of each rank gain.
+K_n peaks at the Bell(n-3) partitions of the vertices that wait for the stars.
 
-No digit of the finish borrows or carries.  f_(X+Y) = f_X + (1 + w)^X f_Y, so
-each factor of A' is at least A's digit by digit, with the same w^0 digit
-X + Y: every digit of (1 + w)^e A' is at least A's and the w^0 digits are
-equal, so the packed subtraction never borrows and dropping its lowest digit,
-which is 0, divides by w exactly.  A digit of A or of (1 + w)^e A' counts
-subsets of the stars' edges of one size, and every digit of a product with a
-state's int, or of a sum of them, counts subsets of one final cell (l, r):
-each is at most C(m, l) <= C(63, 31) < 2^63, so no digit carries.
+The finish packs z as well, in slots of E + 1 digits for the E edges of the
+stars: a coefficient z^k w^nu of F(sigma), W(pi) or G counts subsets of k + nu
+of those edges, so nu <= E and it is at most C(E, k + nu) < 2^63.  Evaluation
+at w = 2^64 and z = 2^(64 (E + 1)) is linear, so the signed sum that gives
+W(pi) is W(pi)'s packed value, and W(pi), a subset count in every digit,
+decodes to it.  Every subset that W(pi) counts has nullity at least |S| - |pi|
+as weighted, so the lowest |S| - |pi| digits of each slot are 0 and the shift
+divides by w^(|S| - |pi|) exactly.  Every digit of a product with a state's
+int, or of a sum of them, counts subsets of one final cell (l, r): it is at
+most C(m, l) <= C(63, 31) < 2^63, so no digit carries.
 """
 
 from __future__ import annotations
@@ -80,7 +90,7 @@ from .errors import (
     FrontierOverflowError,
 )
 from .exactpoly import IntPolynomial, binomial
-from .graphs import Graph, edge_rank
+from .graphs import MAX_EDGES, Graph, edge_rank
 
 DEFAULT_EDGE_CAP = 28
 
@@ -347,54 +357,88 @@ def _runs(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(opens_run)
 
 
-# A block's ties to the last two vertices, Y edges to y and X to x, are the one
-# int Y * _TIE_RADIX + X; X is at most m <= 63.
+# A block's ties to the stars are one int, t_i edges to star i at digit i of
+# radix _TIE_RADIX: a block has at most m <= 63 edges to one star, so a sum of
+# slot ties never carries.
 _TIE_RADIX = 64
+_ONE_PLUS_W = 1 << _DIGIT_BITS | 1
+
+
+# The sweep finishes the stars of its last _STARS vertices.  _PARTITIONS holds
+# the partitions of the stars, each a tuple of block masks (one bit per star),
+# by falling block count so that each comes after those below it; _BELOW[t]
+# the indices of the partitions below partition t.
+_STARS = 3
+_PARTITIONS = ((1, 2, 4), (3, 4), (5, 2), (1, 6), (7,))
+_BELOW = ((), (0,), (0,), (0,), (0, 1, 2, 3))
+
+
+def _star_loops(links: list[int]) -> list[int]:
+    """The packed (1 + w)^e(sigma) of each partition sigma, for the star-star
+    edges ``links``, each the mask of its two stars."""
+    return [_ONE_PLUS_W ** sum(c & b == c for b in sigma for c in links) for sigma in _PARTITIONS]
+
+
+# _F[b] = f_b(w) = ((1 + w)^b - 1) / w = sum_{s=1..b} C(b, s) w^(s-1), packed,
+# for b = 0..MAX_EDGES: s >= 1 of b edges into one block add one rank and s - 1
+# nullity.  f_(b+1) = (1 + w) f_b + 1, and no digit C(b, s) carries.
+_F = [0]
+while len(_F) <= MAX_EDGES:
+    _F.append(_F[-1] * _ONE_PLUS_W + 1)
 
 
 @lru_cache(maxsize=1024)
-def _tie_factors(tie: int) -> tuple[int, int]:
-    """f_X + f_Y and f_(X+Y), packed by w, for a block of ``tie`` = Y * _TIE_RADIX + X.
-
-    f_b(w) = ((1 + w)^b - 1) / w = sum_{s=1..b} C(b, s) w^(s-1): s >= 1 of b
-    edges into one block add one rank and s - 1 nullity.
-    """
-    ys, xs = divmod(tie, _TIE_RADIX)
-    f = [sum(binomial(b, s) << (_DIGIT_BITS * (s - 1)) for s in range(1, b + 1)) for b in (xs, ys, xs + ys)]
-    return f[0] + f[1], f[2]
+def _block_factors(tie: int) -> tuple[int, ...]:
+    """sum_(C in sigma) f_(t(C)) for each partition sigma of the stars."""
+    edges = [0]  # edges[mask]: the block's edges to the stars in mask
+    for i in range(_STARS):
+        edges += [e + tie // _TIE_RADIX**i % _TIE_RADIX for e in edges]
+    return tuple(sum([_F[edges[c]] for c in sigma]) for sigma in _PARTITIONS)
 
 
-def _two_star_factor(ties: tuple[int, ...], yx: int) -> list[int]:
-    """The packed w-polynomials of z^0, z^1, ... in G = A + z ((1 + w)^yx A' - A) / w.
+def _star_parts(ties: list[int], loops: list[int], slot: int) -> tuple[int, list[int]]:
+    """prod (1 + z f) over the blocks tied to one star, and W(pi) for each
+    partition pi of the stars over the other blocks, packed by w in
+    ``slot``-bit slots of z (the module docstring has the formula)."""
+    apart, products = 1, list(loops)
+    for tie in ties:
+        fs = _block_factors(tie)
+        # the finest and the coarsest partition agree only on a block tied to one star
+        if fs[0] == fs[-1]:
+            apart += (apart * fs[0]) << slot
+        else:
+            products = [p + ((p * f) << slot) for p, f in zip(products, fs)]
+    parts: list[int] = []
+    for part, below in zip(products, _BELOW):
+        for s in below:
+            part -= parts[s]
+        parts.append(part)
+    return apart, parts
 
-    A = prod_B (1 + z (f_X + f_Y)) counts the subsets that keep y and x
-    apart, and (1 + w)^yx A' = (1 + w)^yx prod_B (1 + z f_(X+Y)) every subset
-    with y and x taken as one vertex, where the yx (0 or 1) edges between
-    them are loops; a subset that joins them gains one rank more and one
-    nullity less than it would with y and x as one.
-    """
-    apart, joined = [1], [1 + (yx << _DIGIT_BITS)]
-    for tie in filter(None, ties):
-        # times (1 + z f) and (1 + z f_joined), in place from the top
-        f, f_joined = _tie_factors(tie)
-        apart.append(0)
-        joined.append(0)
-        for k in range(len(apart) - 1, 0, -1):
-            apart[k] += apart[k - 1] * f
-            joined[k] += joined[k - 1] * f_joined
-    # (1 + w)^yx A' is at least A digit by digit, with the same w^0 digit: the
-    # difference borrows nothing, and the shift divides it by w exactly.
-    return [a + ((j - c) >> _DIGIT_BITS) for a, j, c in zip(apart + [0], [0] + joined, [0] + apart)]
+
+def _star_factor(ties: list[int], loops: list[int], slot: int) -> list[int]:
+    """The packed w-polynomials of z^0, z^1, ... in the completion G of one
+    row of block ties; a ``slot`` holds a digit more than the stars have edges."""
+    apart, parts = _star_parts(ties, loops, slot)
+    joined = 0
+    for pi, part in zip(_PARTITIONS, parts):
+        gain = _STARS - len(pi)
+        joined += part >> _DIGIT_BITS * gain << slot * gain
+    packed, factor, mask = apart * joined, [], (1 << slot) - 1
+    while packed:
+        factor.append(packed & mask)
+        packed >>= slot
+    return factor
 
 
 def _finish_stars(
-    labels: np.ndarray, rank: np.ndarray, vec: np.ndarray, ties: list[int], yx: int
-) -> dict[int, int]:
-    """The packed counts of each final rank, from the states before the stars of y and x.
+    labels: np.ndarray, rank: np.ndarray, vec: np.ndarray, ties: list[int], loops: list[int], slot: int
+) -> list[int]:
+    """The packed counts of each final rank, from the states before the stars.
 
-    ``ties`` holds Y * _TIE_RADIX + X, the edges to y and to x, of each
-    active slot and then of each vertex first seen in the stars, and ``yx``
-    (0 or 1) edges join y and x.
+    ``ties`` holds the packed ties of each active slot and then of each
+    vertex first seen in the stars, ``loops`` is ``_star_loops``' for the
+    edges among the stars, and ``slot`` the bits of a z slot.
     """
     rows, width = labels.shape
     blocks, every_row = np.zeros((rows, width), dtype=np.int64), np.arange(rows)
@@ -407,12 +451,13 @@ def _finish_stars(
     sums = np.add.reduceat(vec[order], starts)
     fresh = tuple(ties[width:])
     factors: dict[tuple[int, ...], list[int]] = {}  # one G per distinct row, in this call only
-    final: dict[int, int] = {}
+    # a block or a star adds at most one rank
+    final = [0] * (int(rank.max()) + len(ties) + _STARS + 1)
     for row, low, packed in zip(map(tuple, blocks[kept].tolist()), rank[kept].tolist(), sums):
         if row not in factors:
-            factors[row] = _two_star_factor(row + fresh, yx)
+            factors[row] = _star_factor([tie for tie in row + fresh if tie], loops, slot)
         for r, f in enumerate(factors[row], start=low):
-            final[r] = final.get(r, 0) + packed * f
+            final[r] += packed * f
     return final
 
 
@@ -422,13 +467,15 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     last_step = {w: step for step, e in steps for w in g.edges[e]}
     first_step = {w: step for step, e in reversed(steps) for w in g.edges[e]}
     # The last vertex x, the later-seen end of the last edge, has the largest
-    # BFS position, so its edges are the tail of the sweep: its star.  The
-    # later-seen end y of the edge before that star is the vertex before x,
-    # and y's star comes just before x's.
-    x = max(g.edges[edge_order[-1]], key=first_step.__getitem__) if g.m else -1
-    stop = first_step.get(x, g.m)
-    y = max(g.edges[edge_order[stop - 1]], key=first_step.__getitem__) if stop else -1
-    stop = first_step.get(y, stop)
+    # BFS position, so its edges are the tail of the sweep: its star.  In the
+    # same way the later-seen end of the edge before a star has its star just
+    # before, and its other edges in the stars after.  The sweep stops at the
+    # stars of the last _STARS vertices, or at step 0 if that comes first.
+    stars: list[int] = []
+    stop = g.m
+    while stop and len(stars) < _STARS:
+        stars.append(max(g.edges[edge_order[stop - 1]], key=first_step.__getitem__))
+        stop = first_step[stars[-1]]
 
     active: list[int] = []
     # One state per row: block labels aligned with `active`, the rank, and
@@ -470,12 +517,18 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
         kept = order[starts]
         labels, rank = children[kept], child_rank[kept]
 
-    # Every edge left joins y or x to an active vertex, to a vertex first seen
-    # in the stars, or y to x.
-    first_seen = {w for e in edge_order[stop:] for w in g.edges[e]} - {x, y, *active}
-    ties = [g.has_edge(w, y) * _TIE_RADIX + g.has_edge(w, x) for w in active + sorted(first_seen)]
+    # Every edge left joins a star to an active vertex, to a vertex first seen
+    # in the stars, or to another star.
+    first_seen = {w for e in edge_order[stop:] for w in g.edges[e]} - {*stars, *active}
+    ties = [
+        sum(g.has_edge(w, s) * _TIE_RADIX**i for i, s in enumerate(stars)) for w in active + sorted(first_seen)
+    ]
+    links = [1 << i | 1 << j for j in range(len(stars)) for i in range(j) if g.has_edge(stars[i], stars[j])]
+    # A subset of the stars' edges has at most g.m - stop edges, so a z slot
+    # of g.m - stop + 1 digits holds its w-polynomial.
+    slot = _DIGIT_BITS * (g.m - stop + 1)
     counts: dict[tuple[int, int], int] = {}
-    for r, packed in _finish_stars(labels, rank, vec, ties, g.has_edge(x, y)).items():
+    for r, packed in enumerate(_finish_stars(labels, rank, vec, ties, _star_loops(links), slot)):
         nullity = 0
         while packed:
             digit = packed & _DIGIT_MASK

@@ -261,24 +261,24 @@ def test_budget_refusal_stops_inside_the_step(monkeypatch):
         return combine(vec, joins, order, starts)
 
     monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
-    # K_7's edges 11-21 are the stars of the last two vertices, which take no
-    # step; step 10 reaches all 52 partitions of the other five vertices
-    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", 50)
-    with pytest.raises(FrontierOverflowError, match=r"budget of 50 partition states \(reached at edge 10/21\)"):
+    # K_7's edges 7-21 are the stars of the last three vertices, which take no
+    # step; step 6 reaches all 15 partitions of the other four vertices
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", 14)
+    with pytest.raises(FrontierOverflowError, match=r"budget of 14 partition states \(reached at edge 6/21\)"):
         _frontier_counts(complete_graph(7))
-    # steps 1-9 added their counts; the refusing step 10 added none
-    assert len(merged) == 9 and max(merged) <= 50
+    # steps 1-5 added their counts; the refusing step 6 added none
+    assert len(merged) == 5 and max(merged) <= 14
 
 
 @pytest.mark.parametrize(
     "g, peak",
     [
-        (complete_graph(8), 203),
-        (complete_graph(9), 877),
+        (complete_graph(8), 52),
+        (complete_graph(9), 203),
         (grid_graph(5, 5), 463),
-        (cycle_graph(20), 18),
+        (cycle_graph(20), 17),
         # rooted on the 6-vertex side, of degree 4; the 4-vertex side gave 1232
-        (bipartite_graph(4, 6), 143),
+        (bipartite_graph(4, 6), 96),
     ],
     ids=["K8", "K9", "grid5x5", "C20", "K4_6"],
 )
@@ -303,19 +303,24 @@ def _bell(n: int) -> int:
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_complete_graph_peaks_at_bell_states(monkeypatch, n):
-    # The stars of K_n's last two vertices take no step, so the widest frontier
-    # is every partition of the other n - 2 vertices, as many as Bell(n - 2).
-    peak = _bell(n - 2)
+    # The stars of K_n's last three vertices take no step, so the widest
+    # frontier is every partition of the other n - 3 vertices, as many as
+    # Bell(n - 3).
+    peak = _bell(n - 3)
     monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak)
     assert _frontier_counts(complete_graph(n))[(n - 1, n - 1)] == n ** (n - 2)
     monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak - 1)
+    if n == 4:
+        # K_4's edges are all stars: no step checks the budget, not even 0
+        assert _frontier_counts(complete_graph(n))[(n - 1, n - 1)] == n ** (n - 2)
+        return
     with pytest.raises(FrontierOverflowError, match=f"budget of {peak - 1} "):
         _frontier_counts(complete_graph(n))
 
 
 @pytest.mark.parametrize(
     "g, stars",
-    [(path_graph(19), 2), (cycle_graph(20), 3), (complete_graph(9), 15), (grid_graph(5, 5), 4)],
+    [(path_graph(19), 3), (cycle_graph(20), 4), (complete_graph(9), 21), (grid_graph(5, 5), 6)],
     ids=["P19", "C20", "K9", "grid5x5"],
 )
 def test_counts_are_packed_by_nullity(monkeypatch, g, stars):
@@ -331,25 +336,53 @@ def test_counts_are_packed_by_nullity(monkeypatch, g, stars):
 
     monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
     counts = _frontier_counts(g)
-    # one step per edge up to the stars of the last two vertices, `stars` edges
+    # one step per edge up to the stars of the last three vertices, `stars` edges
     assert len(widest) == g.m - stars
     assert max(widest) <= _DIGIT_BITS * (g.m - g.n + 2)
     assert counts[(g.m, g.n - 1)] == 1
 
 
-# Every tie (Y, X) of a block to the last two vertices y and x, by edge count.
-_TIES = [(ys, b - ys) for b in range(1, 8) for ys in range(b + 1)]
+def _set_partitions(stars: int) -> list[frozenset[int]]:
+    """Every partition of the stars, as a set of block masks."""
+    partitions: list[list[int]] = [[]]
+    for i in range(stars):
+        partitions = [p + [1 << i] for p in partitions] + [
+            p[:j] + [b | 1 << i] + p[j + 1 :] for p in partitions for j, b in enumerate(p)
+        ]
+    return [frozenset(p) for p in partitions]
 
 
-def _tie_tuples(total: int, start: int = 0) -> list[tuple[tuple[int, int], ...]]:
-    """Every sorted tuple of ties from ``_TIES[start:]`` whose edges sum to ``total``."""
+def test_star_partitions_are_the_partition_lattice():
+    partitions, below = enumeration._PARTITIONS, enumeration._BELOW
+    expected = _set_partitions(enumeration._STARS)
+    assert sorted(map(frozenset, partitions), key=sorted) == sorted(expected, key=sorted)
+    assert len(partitions) == len(below) == _bell(enumeration._STARS)
+    for t, pi in enumerate(partitions):
+        # sigma is below pi when each block of sigma lies inside a block of pi
+        lower = [
+            s for s, sigma in enumerate(partitions) if s != t and all(any(b & p == b for p in pi) for b in sigma)
+        ]
+        assert below[t] == tuple(lower) and all(s < t for s in lower)
+
+
+def _tie_vectors(stars: int, most: int) -> list[tuple[int, ...]]:
+    """Every tie of a block to the stars, its edges to each star, with 1 to
+    ``most`` edges in all, fewest first."""
+    vectors: list[tuple[int, ...]] = [()]
+    for _ in range(stars):
+        vectors = [v + (t,) for v in vectors for t in range(most + 1)]
+    return sorted((v for v in vectors if 1 <= sum(v) <= most), key=lambda v: (sum(v), v))
+
+
+def _tie_tuples(ties: list[tuple[int, ...]], total: int, start: int = 0) -> list[tuple[tuple[int, ...], ...]]:
+    """Every sorted tuple of ties from ``ties[start:]`` whose edges sum to ``total``."""
     if total == 0:
         return [()]
     return [
         (tie, *rest)
-        for i, tie in enumerate(_TIES[start:], start)
+        for i, tie in enumerate(ties[start:], start)
         if sum(tie) <= total
-        for rest in _tie_tuples(total - sum(tie), i)
+        for rest in _tie_tuples(ties, total - sum(tie), i)
     ]
 
 
@@ -357,19 +390,21 @@ def _digits(packed: int, count: int) -> list[int]:
     return [packed >> (_DIGIT_BITS * j) & ((1 << _DIGIT_BITS) - 1) for j in range(count)]
 
 
-def _times_one_plus_z(poly: list[int], f: int) -> list[int]:
-    return [a + c * f for a, c in zip(poly + [0], [0] + poly)]
+def _slots(packed: int, slot: int) -> list[int]:
+    """The w-polynomials of z^0, z^1, ... packed in ``slot``-bit slots of z."""
+    assert packed >= 0
+    return [packed >> (slot * k) & ((1 << slot) - 1) for k in range(-(-packed.bit_length() // slot))]
 
 
-def _star_cells(blocks: tuple[tuple[int, int], ...], yx: int) -> tuple[dict, dict]:
-    """(rank gain, nullity gain) counts of every subset of the two stars, and
-    of those that keep y and x apart, by a union-find per subset."""
-    y, x = len(blocks), len(blocks) + 1
-    edges = [(b, y) for b, (ys, _) in enumerate(blocks) for _ in range(ys)]
-    edges += [(b, x) for b, (_, xs) in enumerate(blocks) for _ in range(xs)]
-    edges += [(y, x)] * yx
+def _star_cells(blocks: tuple[tuple[int, ...], ...], stars: int, links: tuple[int, ...]) -> tuple[dict, dict]:
+    """(rank gain, nullity gain) counts of every subset of the stars' edges,
+    and of those that generate each partition of the stars, by a union-find
+    per subset.  Block b is vertex b and star i vertex len(blocks) + i."""
+    first = len(blocks)
+    edges = [(b, first + i) for b, tie in enumerate(blocks) for i, t in enumerate(tie) for _ in range(t)]
+    edges += [tuple(first + i for i in range(stars) if c >> i & 1) for c in links]
     cells: dict[tuple[int, int], int] = {}
-    apart: dict[tuple[int, int], int] = {}
+    by_partition: dict[frozenset, dict[tuple[int, int], int]] = {}
     root: list[int] = []
 
     def find(a: int) -> int:
@@ -378,18 +413,22 @@ def _star_cells(blocks: tuple[tuple[int, int], ...], yx: int) -> tuple[dict, dic
         return a
 
     for mask in range(1 << len(edges)):
-        root[:] = range(x + 1)
+        root[:] = range(first + stars)
         gain = 0
         for i, (a, b) in enumerate(edges):
-            a, b = find(a), find(b)
-            if mask >> i & 1 and a != b:
-                root[a] = b
-                gain += 1
+            if mask >> i & 1:
+                a, b = find(a), find(b)
+                if a != b:
+                    root[a] = b
+                    gain += 1
         cell = (gain, mask.bit_count() - gain)
         cells[cell] = cells.get(cell, 0) + 1
-        if find(y) != find(x):
-            apart[cell] = apart.get(cell, 0) + 1
-    return cells, apart
+        blocks_of: dict[int, int] = {}
+        for i in range(stars):
+            blocks_of[find(first + i)] = blocks_of.get(find(first + i), 0) | 1 << i
+        part = by_partition.setdefault(frozenset(blocks_of.values()), {})
+        part[cell] = part.get(cell, 0) + 1
+    return cells, by_partition
 
 
 def _unpacked(poly: list[int], digits: int) -> dict[tuple[int, int], int]:
@@ -398,32 +437,46 @@ def _unpacked(poly: list[int], digits: int) -> dict[tuple[int, int], int]:
     return {cell: c for cell, c in cells.items() if c}
 
 
+# The finish always has three stars; a graph whose star search reaches step 0
+# first has stars without edges.  Every such count, with every set of edges
+# among its stars (a link is the mask of its two stars), and the most edges of
+# block ties that keeps the subset loop short.
+_STAR_CASES = [(0, (), 0), (1, (), 7), (2, (), 7), (2, (3,), 7)] + [
+    (3, tuple(c for i, c in enumerate((3, 5, 6)) if pattern >> i & 1), 4 if pattern else 5)
+    for pattern in range(8)
+]
+
+
 @pytest.mark.parametrize("total", range(8))
 def test_star_factor_matches_subsets(total):
-    # A tie (1, 0), (0, 1) or (1, 1) is also that of a vertex first seen in
-    # the stars, a block of its own.
-    for blocks in _tie_tuples(total):
-        for yx in (0, 1):
-            edges = total + yx
-            cells, apart_cells = _star_cells(blocks, yx)
-            ties = [ys * enumeration._TIE_RADIX + xs for ys, xs in blocks]
-            factor = enumeration._two_star_factor(ties, yx)
-            assert len(factor) == len(blocks) + 2, blocks
-            assert _unpacked(factor, edges + 1) == cells, (blocks, yx)
-            assert all(packed >> (_DIGIT_BITS * (edges + 1)) == 0 for packed in factor), blocks
-            # The subtraction (1 + w)^yx A' - A, digit by digit: none borrows,
-            # and the w^0 digit is 0, so dropping it divides by w exactly.
-            apart, joined = [1], [1]
-            for tie in ties:
-                f, f_joined = enumeration._tie_factors(tie)
-                apart, joined = _times_one_plus_z(apart, f), _times_one_plus_z(joined, f_joined)
-            if yx:
-                joined = [c + (c << _DIGIT_BITS) for c in joined]
-            assert _unpacked(apart, edges + 1) == apart_cells, (blocks, yx)
-            for a, j in zip(apart, joined):
-                da, dj = _digits(a, edges + 2), _digits(j, edges + 2)
-                assert all(p >= q for p, q in zip(dj, da)) and dj[0] == da[0], (blocks, yx)
-                assert _digits(j - a, edges + 2) == [p - q for p, q in zip(dj, da)], (blocks, yx)
+    # A tie with one edge to each of some stars is also that of a vertex
+    # first seen in the stars, a block of its own.
+    stars = enumeration._STARS
+    for used, links, most in _STAR_CASES:
+        loops = enumeration._star_loops(links)
+        vectors = [v + (0,) * (stars - used) for v in _tie_vectors(used, most)]
+        for blocks in _tie_tuples(vectors, total) if total <= most else []:
+            edges = total + len(links)
+            slot = _DIGIT_BITS * (edges + 1)
+            cells, by_partition = _star_cells(blocks, stars, links)
+            ties = tuple(sum(t * enumeration._TIE_RADIX**i for i, t in enumerate(tie)) for tie in blocks)
+            assert _unpacked(enumeration._star_factor(ties, loops, slot), edges + 1) == cells, blocks
+            apart, parts = enumeration._star_parts(ties, loops, slot)
+            assert len(parts) == len(enumeration._PARTITIONS)
+            for pi, part in zip(enumeration._PARTITIONS, parts):
+                # W(pi) is a subset count in every digit, and the lowest
+                # |S| - |pi| digits of each power of z are 0: the shift that
+                # divides by w^(|S| - |pi|) drops nothing.
+                gain = stars - len(pi)
+                for packed in _slots(part, slot):
+                    digits = _digits(packed, edges + 1)
+                    assert all(0 <= d < 1 << (_DIGIT_BITS - 1) for d in digits) and not any(digits[:gain])
+                # with the factors kept apart, W(pi) counts the subsets that
+                # generate pi, |S| - |pi| ranks down and as many nullities up
+                generating = by_partition.get(frozenset(pi), {})
+                assert _unpacked(_slots(apart * part, slot), edges + 1) == {
+                    (k - gain, nu + gain): c for (k, nu), c in generating.items()
+                }, (blocks, pi)
 
 
 @pytest.mark.parametrize(
@@ -432,24 +485,40 @@ def test_star_factor_matches_subsets(total):
         # a pendant vertex whose only edge goes to the last vertex: it is
         # first seen in the star, as a block of its own
         Graph(2, ((0, 1),)),
-        # the last two vertices joined, and both joined to the first
+        # the star search reaches step 0 after two joined stars; the third
+        # vertex is first seen in the stars, tied to both
         complete_graph(3),
-        # K_{2,3} from a degree-2 root: the last two vertices share no edge
+        # K_{2,3} from a degree-2 root: no two stars share an edge
         bipartite_graph(2, 3),
-        # a path, then an isolated edge that is the whole last star
+        # a path, then an isolated edge: every edge is a star's, and the
+        # path's middle vertex is first seen in the stars, tied to two
         Graph(5, ((0, 1), (1, 2), (3, 4))),
         # a second component, a triangle on y, x and a vertex first seen in
         # the stars: a block of its own, tied to both y and x
         Graph(5, ((0, 1), (2, 3), (2, 4), (3, 4))),
         # a triangle with two tails: the last vertex is the far tail's end
         Graph(5, ((0, 1), (1, 2), (2, 3), (1, 3), (3, 4))),
-        # no edges: the sweep has no last vertex and the finish no stars
+        # no edges: the sweep has no last vertex, and no star has an edge
         Graph(4),
-        # K_{1,5}: the last two vertices are leaves and each star one edge
+        # K_{1,5}: the last three vertices are leaves and each star one edge
         Graph(6, tuple((0, i) for i in range(1, 6))),
         complete_graph(5),
+        # a triangle beside an isolated vertex: the star search reaches step
+        # 0 after two stars
+        Graph(4, ((1, 2), (1, 3), (2, 3))),
+        # every edge is a star's: three stars pairwise joined
+        complete_graph(4),
+        cycle_graph(4),
+        # the third-last vertex is the centre, its one back-neighbour the root
+        Graph(4, ((0, 1), (0, 2), (0, 3))),
+        # a triangle, then a 4-cycle: the third-last vertex's neighbour is
+        # first seen in the stars, tied to it and to the last vertex
+        Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6))),
     ],
-    ids=["K2", "K3", "K2_3", "path_then_edge", "triangle_tails", "fresh_in_y_star", "edgeless", "K1_5", "K5"],
+    ids=[
+        "K2", "K3", "K2_3", "path_then_edge", "fresh_in_y_star", "triangle_tails", "edgeless", "K1_5", "K5",
+        "triangle_isolated", "K4", "C4", "K1_3", "fresh_in_z_star",
+    ],
 )
 def test_finish_matches_the_subset_oracle(g):
     assert _frontier_counts(g) == rank_counts_by_subsets(g)
@@ -466,16 +535,16 @@ def test_finish_digits_do_not_carry(monkeypatch, g):
 
     monkeypatch.setattr(enumeration, "_finish_stars", recording_finish)
     counts = _frontier_counts(g)
-    (final,) = finals
+    (final,) = finals  # the packed counts of each final rank
     digits = {
         (r + j, r): packed >> (_DIGIT_BITS * j) & ((1 << _DIGIT_BITS) - 1)
-        for r, packed in final.items()
+        for r, packed in enumerate(final)
         for j in range(g.m - r + 1)
     }
     assert all(digit < 1 << (_DIGIT_BITS - 1) for digit in digits.values())
     # the digits are the table: none spilled into its neighbour
     assert {cell: c for cell, c in digits.items() if c} == counts
-    assert all(packed >> (_DIGIT_BITS * (g.m - r + 1)) == 0 for r, packed in final.items())
+    assert all(packed >> (_DIGIT_BITS * (g.m - r + 1)) == 0 for r, packed in enumerate(final))
     assert sum(counts.values()) == 1 << g.m
 
 
@@ -677,7 +746,7 @@ _TUTTE_CORPUS = [
     complete_graph(5),
     complete_graph(8),
     complete_graph(9),
-    # finished from the Bell(8) = 4140 partitions of the other eight vertices
+    # finished from the Bell(7) = 877 partitions of the other seven vertices
     complete_graph(10),
     complete_graph(11),
     _K12_MINUS_MATCHING,

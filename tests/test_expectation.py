@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from mstlength import expectation
+from mstlength.coefficients import ROUTE_EQ2, route_failures
 from mstlength.errors import DisconnectedGraphError, InexactDivisionError
 from mstlength.exactpoly import IntPolynomial, binomial
 from mstlength.expectation import (
@@ -150,6 +152,27 @@ def test_kn_table_small():
 def test_kn_table_stays_below_zeta3():
     for row in kn_table(7):
         assert row.expectation < ZETA3
+
+
+def test_kn_table_to_11(monkeypatch):
+    # K_10 (45 edges) and K_11 (55 edges) are in reach of the sweep: the
+    # whole table takes tens of milliseconds.
+    checked = []
+    verify = expectation.verify_route_agreement
+
+    def recording_verify(table, census):
+        checked.append((table, verify(table, census)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(expectation, "verify_route_agreement", recording_verify)
+    rows = kn_table(11, cap=55)
+    assert [row.n for row in rows] == [table.n for table, _ in checked] == list(range(2, 12))
+    for table, routes in checked:
+        assert route_failures(table, routes) == []
+        coefficients = [routes[ROUTE_EQ2][i] if i <= table.m else 0 for i in range(7)]
+        assert coefficients == [kn_coefficient(table.n, i) for i in range(7)], table.n
+    assert all(row.increasing for row in rows[1:])
+    assert all(row.expectation < ZETA3 for row in rows)
 
 
 def test_kn_table_json_row():
