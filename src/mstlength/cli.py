@@ -42,7 +42,7 @@ from .errors import (
 )
 from .exactpoly import binomial, decimal_string
 from .expectation import ZETA3_DISPLAY, exact_inputs, expected_mst_length, kn_table
-from .graphs import Graph, format_graph, generate, parse_graph
+from .graphs import GENERATORS, Graph, format_graph, generate, parse_graph
 from .mc import compare, simulate
 
 EXIT_OK = 0
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kn_table)
 
     p = sub.add_parser("gen", help="print a generated graph as an edge-list document")
-    p.add_argument("kind", choices=("complete", "bipartite", "cycle", "path"))
+    p.add_argument("kind", choices=tuple(GENERATORS))
     p.add_argument("params", nargs="+", type=int)
     p.add_argument("--format", choices=("json", "plain"), default="plain")
     p.set_defaults(func=cmd_gen)

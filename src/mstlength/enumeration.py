@@ -56,10 +56,9 @@ each weighted as if pi's stars were glued: by |S| - |pi| less rank and as much
 more nullity.  By Moebius inversion over the partition lattice (Rota, 1964),
 W(pi) = sum_(sigma <= pi) mu(sigma, pi) F(sigma), taken as F(pi) minus the W
 below it, counts the subsets that join the stars into pi exactly, and the
-completion is G = sum_pi z^(|S| - |pi|) W(pi) / w^(|S| - |pi|).  A block tied
-to one star joins no two stars: its factor is the same in every F(sigma), so it
-multiplies G instead.  The states are grouped by rank and sorted ties, and each
-group's summed int is multiplied by the packed w-polynomial of each rank gain.
+completion is G = sum_pi z^(|S| - |pi|) W(pi) / w^(|S| - |pi|).  The states
+are grouped by rank and sorted ties, and each group's summed int is
+multiplied by the packed w-polynomial of each rank gain.
 K_n peaks at the Bell(n-3) partitions of the vertices that wait for the stars.
 
 The finish packs z as well, in slots of E + 1 digits for the E edges of the
@@ -396,35 +395,28 @@ def _block_factors(tie: int) -> tuple[int, ...]:
     return tuple(sum([_F[edges[c]] for c in sigma]) for sigma in _PARTITIONS)
 
 
-def _star_parts(ties: list[int], loops: list[int], slot: int) -> tuple[int, list[int]]:
-    """prod (1 + z f) over the blocks tied to one star, and W(pi) for each
-    partition pi of the stars over the other blocks, packed by w in
-    ``slot``-bit slots of z (the module docstring has the formula)."""
-    apart, products = 1, list(loops)
+def _star_parts(ties: list[int], loops: list[int], slot: int) -> list[int]:
+    """W(pi) for each partition pi of the stars, packed by w in ``slot``-bit
+    slots of z (the module docstring has the formula)."""
+    products = list(loops)
     for tie in ties:
-        fs = _block_factors(tie)
-        # the finest and the coarsest partition agree only on a block tied to one star
-        if fs[0] == fs[-1]:
-            apart += (apart * fs[0]) << slot
-        else:
-            products = [p + ((p * f) << slot) for p, f in zip(products, fs)]
+        products = [p + ((p * f) << slot) for p, f in zip(products, _block_factors(tie))]
     parts: list[int] = []
     for part, below in zip(products, _BELOW):
         for s in below:
             part -= parts[s]
         parts.append(part)
-    return apart, parts
+    return parts
 
 
 def _star_factor(ties: list[int], loops: list[int], slot: int) -> list[int]:
     """The packed w-polynomials of z^0, z^1, ... in the completion G of one
     row of block ties; a ``slot`` holds a digit more than the stars have edges."""
-    apart, parts = _star_parts(ties, loops, slot)
-    joined = 0
-    for pi, part in zip(_PARTITIONS, parts):
+    packed = 0
+    for pi, part in zip(_PARTITIONS, _star_parts(ties, loops, slot)):
         gain = _STARS - len(pi)
-        joined += part >> _DIGIT_BITS * gain << slot * gain
-    packed, factor, mask = apart * joined, [], (1 << slot) - 1
+        packed += part >> _DIGIT_BITS * gain << slot * gain
+    factor, mask = [], (1 << slot) - 1
     while packed:
         factor.append(packed & mask)
         packed >>= slot

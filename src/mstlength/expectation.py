@@ -19,7 +19,7 @@ from .graphs import Graph, complete_graph, is_connected
 
 # Apery's constant, the n -> infinity limit of E[L(K_n)]; reference line only.
 ZETA3 = Fraction(12020569031595943, 10**16)
-ZETA3_DISPLAY = "1.2020569"
+ZETA3_DISPLAY = decimal_string(ZETA3, 7)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 Reproducibility contract: trial i draws its weights from a Philox4x64 counter
 stream keyed by (seed, i // BLOCK_TRIALS), row i % BLOCK_TRIALS -- a pure
 function of the seed and the trial index.  The seed is one 64-bit key word,
-so it must lie in [0, 2**64).  Block boundaries are fixed, worker
-processes only ever split on block boundaries, and the statistics come from
-exact integer sums, which do not depend on order, so the estimate is
+so it must lie in [0, 2**64).  A block is the unit of work: ``_block_sums``
+returns the exact integer sums of its trials and its least and greatest
+length.  A serial run maps it over the blocks in turn, and ``threads`` > 1
+gives each worker process one contiguous run of blocks.  Integer sums, a
+minimum and a maximum do not depend on order, so the estimate is
 bit-identical for any worker count.
 
 Every weight is an integer tick on the 2**-53 lattice, as numpy's
@@ -19,8 +21,9 @@ endpoint and a column per trial: an accepted edge renames the larger of its two
 labels to the smaller in its trial's column.  Each row adds its accepted weights
 in rank order, exactly as the scalar reference ``mst_length_for_weights`` does,
 so every per-trial length is the same float.  Every length is k * 2**-53 for
-an integer k, so ``simulate`` sums k and k**2 exactly in integers and rounds
-the total and the sample variance once each.
+an integer k, so each block sums k and k**2 exactly in integers, and
+``simulate`` adds the blocks' sums and rounds the total and the sample
+variance once each.
 
 Floating point is confined to this module; everything exact lives elsewhere.
 """
@@ -32,6 +35,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -41,7 +45,6 @@ from .graphs import Graph, find, is_connected
 BLOCK_TRIALS = 4096
 GENERATOR_ID = f"philox4x64-keyed-blocks-{BLOCK_TRIALS}"
 _LIMB_BITS = 20
-_SUM_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -171,53 +174,40 @@ def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], ticks: np.ndarray) 
     return total
 
 
-def _simulate_blocks(
-    n: int,
-    edges: tuple[tuple[int, int], ...],
-    seed: int,
-    first_trial: int,
-    last_trial: int,
-) -> np.ndarray:
-    """MST lengths for trials [first_trial, last_trial) of the global stream."""
-    lengths = []
-    block = first_trial // BLOCK_TRIALS
-    trial = first_trial
-    while trial < last_trial:
-        row_lo = trial - block * BLOCK_TRIALS
-        row_hi = min(BLOCK_TRIALS, last_trial - block * BLOCK_TRIALS)
-        ticks = _block_ticks(seed, block, len(edges))[row_lo:row_hi]
-        lengths.append(_mst_lengths(n, edges, ticks))
-        trial = (block + 1) * BLOCK_TRIALS
-        block += 1
-    return np.concatenate(lengths)
-
-
 def _lattice_sums(lengths: np.ndarray) -> tuple[int, int]:
     """Exact sums of k and k**2 over ``lengths``, where length = k * 2**-53.
 
     k < 2**59 (``_mst_lengths``) splits into three L = _LIMB_BITS = 20 bit
     limbs, k = a + b * 2**L + c * 2**2L, so k**2 = a*a + 2ab * 2**L +
     (b*b + 2ac) * 2**2L + 2bc * 2**3L + c*c * 2**4L: six limb products, each
-    below 2**40.  One int64 sum takes at most _SUM_ROWS = 2**16 rows, so it
-    stays below 2**56 < 2**63 and never wraps (2**23 rows would still fit;
-    2**16 keeps each temporary at 512 KB).  The slices are combined as Python
-    ints, so any number of lengths sums exactly, in any order.
+    below 2**40.  ``lengths`` holds at most BLOCK_TRIALS = 2**12 rows, so
+    every int64 sum stays below 2**52 < 2**63 and never wraps.  The limb sums
+    are combined as Python ints.
     """
     bits = _LIMB_BITS
     mask = (1 << bits) - 1
-    total = square = 0
-    for start in range(0, len(lengths), _SUM_ROWS):
-        k = (lengths[start : start + _SUM_ROWS] * 2**53).astype(np.int64)
-        a, b, c = k & mask, (k >> bits) & mask, k >> 2 * bits
-        total += int(a.sum()) + (int(b.sum()) << bits) + (int(c.sum()) << 2 * bits)
-        square += (
-            int(a @ a)
-            + (int(a @ b) << bits + 1)
-            + ((int(b @ b) + 2 * int(a @ c)) << 2 * bits)
-            + (int(b @ c) << 3 * bits + 1)
-            + (int(c @ c) << 4 * bits)
-        )
+    k = (lengths * 2**53).astype(np.int64)
+    a, b, c = k & mask, (k >> bits) & mask, k >> 2 * bits
+    total = int(a.sum()) + (int(b.sum()) << bits) + (int(c.sum()) << 2 * bits)
+    square = (
+        int(a @ a)
+        + (int(a @ b) << bits + 1)
+        + ((int(b @ b) + 2 * int(a @ c)) << 2 * bits)
+        + (int(b @ c) << 3 * bits + 1)
+        + (int(c @ c) << 4 * bits)
+    )
     return total, square
+
+
+def _block_sums(
+    n: int, edges: tuple[tuple[int, int], ...], seed: int, trials: int, block: int
+) -> tuple[int, int, float, float]:
+    """Exact sums of k and k**2, and the least and greatest length, over the
+    trials of one block: BLOCK_TRIALS rows, or fewer in the last block of a
+    run of ``trials``."""
+    rows = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
+    lengths = _mst_lengths(n, edges, _block_ticks(seed, block, len(edges))[:rows])
+    return (*_lattice_sums(lengths), float(lengths.min()), float(lengths.max()))
 
 
 def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimate:
@@ -225,7 +215,7 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
 
     The mean is the exact total of the lengths, rounded once, over `trials`;
     the standard error is sqrt(s**2 / trials), s**2 the exact sample variance
-    rounded once.  Both come from the integer sums of ``_lattice_sums``.
+    rounded once.  Both come from the integer sums of ``_block_sums``.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("Monte Carlo MST length requires a connected graph")
@@ -236,28 +226,17 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
-    n_blocks = -(-trials // BLOCK_TRIALS)
-    workers = min(threads, n_blocks, os.cpu_count() or 1)
+    blocks = -(-trials // BLOCK_TRIALS)
+    workers = min(threads, blocks, os.cpu_count() or 1)
+    per_block = partial(_block_sums, g.n, g.edges, seed, trials)
     if workers <= 1:
-        per_trial = _simulate_blocks(g.n, g.edges, seed, 0, trials)
+        sums = list(map(per_block, range(blocks)))
     else:
-        # Split on block boundaries only; concatenation in block order makes
-        # the gathered lengths identical to the serial run.
-        bounds = [n_blocks * i // workers for i in range(workers + 1)]
+        # each worker takes one contiguous run of blocks
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _simulate_blocks,
-                    g.n,
-                    g.edges,
-                    seed,
-                    bounds[i] * BLOCK_TRIALS,
-                    min(bounds[i + 1] * BLOCK_TRIALS, trials),
-                )
-                for i in range(workers)
-            ]
-            per_trial = np.concatenate([future.result() for future in futures])
-    total, square = _lattice_sums(per_trial)
+            sums = list(pool.map(per_block, range(blocks), chunksize=-(-blocks // workers)))
+    totals, squares, lows, highs = zip(*sums)
+    total, square = sum(totals), sum(squares)
     mean = math.ldexp(float(total), -53) / trials
     if trials > 1:
         variance = Fraction(trials * square - total * total, trials * (trials - 1) << 106)
@@ -269,8 +248,8 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
         seed=seed,
         mean=mean,
         stderr=stderr,
-        min_length=float(per_trial.min()),
-        max_length=float(per_trial.max()),
+        min_length=min(lows),
+        max_length=max(highs),
     )
 
 

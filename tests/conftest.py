@@ -1,7 +1,7 @@
 import os
 import pathlib
 import sys
-from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,16 +13,17 @@ def recording_pool(monkeypatch):
     """Swap a module's ProcessPoolExecutor for an inline fake.
 
     ``install(module, cpus)`` also fixes ``os.cpu_count()`` to ``cpus`` and
-    returns the list of ``max_workers`` values the fake was built with; no
-    process is ever started.
+    returns a record of the fake's use: ``workers``, the ``max_workers`` of
+    each pool built, and ``chunksizes``, the ``chunksize`` of each ``map``.
+    No process is ever started.
     """
 
     def install(module, cpus):
-        created = []
+        record = SimpleNamespace(workers=[], chunksizes=[])
 
         class InlinePool:
             def __init__(self, max_workers):
-                created.append(max_workers)
+                record.workers.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -30,13 +31,12 @@ def recording_pool(monkeypatch):
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables, chunksize=1):
+                record.chunksizes.append(chunksize)
+                return map(fn, *iterables)
 
         monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        return created
+        return record
 
     return install

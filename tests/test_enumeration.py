@@ -461,7 +461,7 @@ def test_star_factor_matches_subsets(total):
             cells, by_partition = _star_cells(blocks, stars, links)
             ties = tuple(sum(t * enumeration._TIE_RADIX**i for i, t in enumerate(tie)) for tie in blocks)
             assert _unpacked(enumeration._star_factor(ties, loops, slot), edges + 1) == cells, blocks
-            apart, parts = enumeration._star_parts(ties, loops, slot)
+            parts = enumeration._star_parts(ties, loops, slot)
             assert len(parts) == len(enumeration._PARTITIONS)
             for pi, part in zip(enumeration._PARTITIONS, parts):
                 # W(pi) is a subset count in every digit, and the lowest
@@ -471,10 +471,10 @@ def test_star_factor_matches_subsets(total):
                 for packed in _slots(part, slot):
                     digits = _digits(packed, edges + 1)
                     assert all(0 <= d < 1 << (_DIGIT_BITS - 1) for d in digits) and not any(digits[:gain])
-                # with the factors kept apart, W(pi) counts the subsets that
-                # generate pi, |S| - |pi| ranks down and as many nullities up
+                # W(pi) counts the subsets that generate pi, |S| - |pi|
+                # ranks down and as many nullities up
                 generating = by_partition.get(frozenset(pi), {})
-                assert _unpacked(_slots(apart * part, slot), edges + 1) == {
+                assert _unpacked(_slots(part, slot), edges + 1) == {
                     (k - gain, nu + gain): c for (k, nu), c in generating.items()
                 }, (blocks, pi)
 

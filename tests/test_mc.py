@@ -20,9 +20,9 @@ from mstlength.graphs import (
 from mstlength.mc import (
     BLOCK_TRIALS,
     McEstimate,
+    _block_sums,
     _block_ticks,
     _mst_lengths,
-    _simulate_blocks,
     compare,
     mst_length_for_weights,
     simulate,
@@ -46,23 +46,26 @@ def test_determinism_across_worker_counts():
 
 @pytest.mark.parametrize(
     "cpus, blocks, expected",
-    [(4, 3, [3]), (4, 8, [4]), (2, 8, [2]), (1, 8, []), (None, 8, [])],
+    [(4, 3, [3]), (4, 8, [4]), (2, 8, [2]), (1, 8, []), (None, 8, []), (3, 8, [3])],
 )
 def test_worker_count_clamped_to_blocks_and_cpus(recording_pool, cpus, blocks, expected):
-    created = recording_pool(mc, cpus)
+    pool = recording_pool(mc, cpus)
     g = bipartite_graph(3, 2)
     trials = blocks * BLOCK_TRIALS
     clamped = simulate(g, trials, seed=5, threads=10**6)
-    assert created == expected
+    assert pool.workers == expected
+    # each worker is handed one contiguous run of blocks: 8 blocks over 3
+    # workers go in runs of 3, 3 and 2
+    assert pool.chunksizes == [-(-blocks // workers) for workers in expected]
     assert clamped == simulate(g, trials, seed=5, threads=1)
 
 
 @pytest.mark.parametrize("threads", [0, -5])
 def test_worker_count_below_one_rejected(recording_pool, threads):
-    created = recording_pool(mc, 4)
+    pool = recording_pool(mc, 4)
     with pytest.raises(ValueError, match="threads"):
         simulate(bipartite_graph(3, 2), 3 * BLOCK_TRIALS, seed=5, threads=threads)
-    assert created == []
+    assert pool.workers == pool.chunksizes == []
 
 
 def test_different_seeds_differ():
@@ -168,8 +171,9 @@ def _exact_estimate(lengths):
 
 
 def test_simulate_matches_reference_per_trial():
-    # Single trials, a whole block, and a range that starts mid-block and
-    # crosses into the next one: every length bit for bit as the reference.
+    # A whole block, and the first row and the first 500 rows of a block, as
+    # a last block that a run ends in: every length bit for bit as the
+    # reference, and the block's sums exact.
     seed = 17
     graphs = [
         complete_graph(2),
@@ -178,12 +182,15 @@ def test_simulate_matches_reference_per_trial():
         complete_graph(8),
         bipartite_graph(3, 2),
     ]
-    ranges = [(0, 1), (0, BLOCK_TRIALS), (BLOCK_TRIALS - 300, BLOCK_TRIALS + 500)]
     for g in graphs:
-        for first, last in ranges:
-            lengths = _simulate_blocks(g.n, g.edges, seed, first, last)
-            expected = _reference_lengths(g, seed, first, last)
-            assert [x.hex() for x in lengths] == [x.hex() for x in expected], (g, first, last)
+        for block, rows in [(0, BLOCK_TRIALS), (0, 1), (1, 500)]:
+            first = block * BLOCK_TRIALS
+            lengths = _mst_lengths(g.n, g.edges, _block_ticks(seed, block, g.m)[:rows])
+            expected = _reference_lengths(g, seed, first, first + rows)
+            assert [x.hex() for x in lengths] == [x.hex() for x in expected], (g, block, rows)
+            ks = [int(x * 2**53) for x in expected]
+            sums = (sum(ks), sum(k * k for k in ks), min(expected), max(expected))
+            assert _block_sums(g.n, g.edges, seed, first + rows, block) == sums, (g, block, rows)
 
     # The public entry point: one trial, and a run that ends mid-block.
     g = bipartite_graph(3, 2)
@@ -207,31 +214,43 @@ def test_simulate_statistics_match_the_exact_oracle(g, trials):
 
 
 def test_lattice_sum_widths():
-    # Three limbs hold the largest k, MAX_EDGES * 2**53, and a slice of
-    # _SUM_ROWS products of two limbs cannot wrap an int64 sum.
+    # Three limbs hold the largest k, MAX_EDGES * 2**53, and a block of
+    # BLOCK_TRIALS products of two limbs cannot wrap an int64 sum.
     assert MAX_EDGES * 2**53 < 2 ** (3 * mc._LIMB_BITS)
-    assert mc._SUM_ROWS * (2**mc._LIMB_BITS - 1) ** 2 < 2**63
+    assert BLOCK_TRIALS * (2**mc._LIMB_BITS - 1) ** 2 < 2**63
 
 
 def test_statistics_exact_at_the_top_of_the_range_across_a_slice(monkeypatch):
     # A 63-edge tree (P_64) with every tick near 2**53 gives lengths near 63,
-    # k near 2**59; k = 2**53 - 1 fills both low limbs, the largest limb
-    # products.  _SUM_ROWS + 1 of them cross one slice boundary.
+    # k near 2**59; a row with one tick 2**53 - 1 and the rest 0 gives
+    # k = 2**53 - 1, which fills both low limbs, the largest limb products.
+    # Every block is summed apart: two whole blocks and one trial of a third.
     g = path_graph(64)
     assert g.m == MAX_EDGES
-    top = np.random.default_rng(9).integers(2**53 - 2**20, 2**53, size=(64, g.m), dtype=np.uint64)
-    top[0] = 2**53 - 1
-    tree = _mst_lengths(g.n, g.edges, top)
-    assert tree.max() <= MAX_EDGES and tree.min() > MAX_EDGES - 1
-    lengths = np.resize(np.concatenate([tree, [(2**53 - 1) * 2**-53, 0.0]]), mc._SUM_ROWS + 1)
+
+    def top_ticks(seed, block, m):
+        rng = np.random.default_rng(block)
+        ticks = rng.integers(2**53 - 2**20, 2**53, size=(BLOCK_TRIALS, m), dtype=np.uint64)
+        ticks[0] = 2**53 - 1
+        ticks[1:3] = 0
+        ticks[1, block] = 2**53 - 1
+        return ticks
+
+    runs = [(0, BLOCK_TRIALS), (1, BLOCK_TRIALS), (2, 1)]
+    lengths = np.concatenate([_mst_lengths(g.n, g.edges, top_ticks(0, b, g.m)[:rows]) for b, rows in runs])
+    assert lengths.max() <= MAX_EDGES and lengths[3:BLOCK_TRIALS].min() > MAX_EDGES - 1
+    assert lengths[1] == (2**53 - 1) * 2**-53 and lengths[2] == 0.0
     ks = [int(x * 2**53) for x in lengths.tolist()]
-    assert mc._lattice_sums(lengths) == (sum(ks), sum(k * k for k in ks))
+    block = lengths[:BLOCK_TRIALS]
+    assert mc._lattice_sums(block) == (sum(ks[:BLOCK_TRIALS]), sum(k * k for k in ks[:BLOCK_TRIALS]))
 
     trials = len(lengths)
-    monkeypatch.setattr(mc, "_simulate_blocks", lambda *args: lengths)
+    assert trials == 2 * BLOCK_TRIALS + 1
+    monkeypatch.setattr(mc, "_block_ticks", top_ticks)
     est = simulate(g, trials, seed=0)
     assert (est.mean, est.stderr) == _exact_estimate(lengths.tolist())
     assert est.mean == math.fsum(lengths.tolist()) / trials
+    assert (est.min_length, est.max_length) == (0.0, lengths.max())
 
 
 REFERENCES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
