@@ -16,12 +16,12 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from mstlength.expectation import ZETA3, kn_table
+from mstlength.expectation import DEFAULT_EDGE_CAP, ZETA3, kn_table
 
 
 def main() -> None:
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 8
-    cap = int(sys.argv[2]) if len(sys.argv) > 2 else 28
+    cap = int(sys.argv[2]) if len(sys.argv) > 2 else DEFAULT_EDGE_CAP
 
     started = time.time()
     rows = kn_table(max_n, cap=cap)

@@ -18,7 +18,6 @@ from .coefficients import (
     verify_route_agreement,
 )
 from .enumeration import (
-    DEFAULT_EDGE_CAP,
     RankTable,
     build_rank_table,
     check_hyperbola_identities,
@@ -38,6 +37,7 @@ from .errors import (
 )
 from .exactpoly import IntPolynomial, binomial, decimal_string
 from .expectation import (
+    DEFAULT_EDGE_CAP,
     KnRow,
     MstExpectation,
     ZETA3,

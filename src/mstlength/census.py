@@ -124,7 +124,13 @@ class SubgraphCensus:
     k32: int
 
     def cycle_count(self, length: int) -> int:
-        """c_length, with 0 for lengths below 3 or above the scan limit."""
+        """c_length, with 0 for lengths below 3; a length above the scan limit
+        was not counted, so it is refused rather than read as 0."""
+        if length > self.max_cycle_len:
+            raise ValueError(
+                f"c{length} needs cycle counts up to {length}, "
+                f"census scanned up to {self.max_cycle_len}"
+            )
         return self.cycles.get(length, 0)
 
     @property

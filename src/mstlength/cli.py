@@ -31,7 +31,7 @@ from .coefficients import (
     integrand,
     route_failures,
 )
-from .enumeration import DEFAULT_EDGE_CAP, check_hyperbola_identities, check_integrand_ratio
+from .enumeration import check_hyperbola_identities, check_integrand_ratio
 from .errors import (
     CorruptRankTableError,
     EnumerationCapError,
@@ -41,7 +41,7 @@ from .errors import (
     RouteDisagreementError,
 )
 from .exactpoly import binomial, decimal_string
-from .expectation import ZETA3_DISPLAY, exact_inputs, expected_mst_length, kn_table
+from .expectation import DEFAULT_EDGE_CAP, ZETA3_DISPLAY, exact_inputs, expected_mst_length, kn_table
 from .graphs import GENERATORS, Graph, format_graph, generate, parse_graph
 from .mc import compare, simulate
 

@@ -82,19 +82,6 @@ def coeff_from_nullities(table: RankTable, i: int) -> int:
     return _alternating_sum(table.nullity_sums, table.m, i, 3)
 
 
-def _require_cycles(census: SubgraphCensus, length: int, what: str) -> None:
-    """Refuse to read c_length from a census whose scan stopped short of it.
-
-    ``cycle_count`` reads an unscanned length as 0, which would pass for a
-    count.
-    """
-    if length > census.max_cycle_len:
-        raise ValueError(
-            f"{what} needs cycle counts up to {length}, "
-            f"census scanned up to {census.max_cycle_len}"
-        )
-
-
 def coeff_structural(census: SubgraphCensus, i: int) -> int:
     """a_i for i <= 6 in terms of graph structure alone.
 
@@ -110,7 +97,6 @@ def coeff_structural(census: SubgraphCensus, i: int) -> int:
         return -census.m
     if i == 2:
         return 0
-    _require_cycles(census, i, f"structural a_{i}")
     if i in (3, 4):
         return census.cycle_count(i)
     if i == 5:
@@ -164,7 +150,6 @@ def check_rank_cycle_correction(table: RankTable, census: SubgraphCensus, l: int
     """
     if not 3 <= l <= 6:
         raise ValueError(f"correction identity is stated for l = 3..6, got {l}")
-    _require_cycles(census, l, f"correction identity at l = {l}")
     lhs = table.nullity_sums[l] if l <= table.m else 0
     return lhs == _cycle_sums(census, l)[l] - correction_terms(census)[l]
 
@@ -181,7 +166,6 @@ def cycle_transform_value(census: SubgraphCensus, i: int, *, all_cycles: bool = 
     """
     if i < 3:
         raise ValueError(f"cycle transform is defined for i >= 3, got {i}")
-    _require_cycles(census, i, f"cycle transform at i = {i}")
     return _alternating_sum(_cycle_sums(census, i, all_cycles=all_cycles), census.m, i, 3)
 
 

@@ -82,19 +82,12 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import (
-    CorruptRankTableError,
-    DisconnectedGraphError,
-    EnumerationCapError,
-    FrontierOverflowError,
-)
+from .errors import CorruptRankTableError, DisconnectedGraphError, FrontierOverflowError
 from .exactpoly import IntPolynomial, binomial
 from .graphs import MAX_EDGES, Graph, edge_rank
 
-DEFAULT_EDGE_CAP = 28
-
 # State budget for the frontier sweep; beyond this the partition family is too
-# rich to hold in memory and the caller should shrink the graph or the cap.
+# rich to hold in memory and the caller should shrink the graph.
 MAX_FRONTIER_STATES = 1 << 21
 
 
@@ -206,15 +199,6 @@ class RankTable:
                     f"nullity {l - r} at (l={l}, r={r}) exceeds the full edge set's "
                     f"nullity {self.m - full_rank}"
                 )
-
-
-def _check_cap(m: int, cap: int) -> None:
-    if m > cap:
-        raise EnumerationCapError(
-            f"graph has {m} edges, above the enumeration cap {cap}: "
-            f"2^{m} = {1 << m:.2e} subsets; raise the cap (`--cap {m}`) or use "
-            "a Monte Carlo estimate (`mstlength simulate --cap 0`)"
-        )
 
 
 # Width proof.  A Graph has at most MAX_EDGES = 63 edges, so at most 126 of its
@@ -531,17 +515,16 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     return counts
 
 
-def build_rank_table(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> RankTable:
+def build_rank_table(g: Graph) -> RankTable:
     """Count spanning subgraphs of g by (edge count, rank) over all 2^m subsets.
 
-    A forest's table is closed-form; any other graph runs the partition sweep.
-    Graphs with more than ``cap`` edges are refused, and so is a sweep whose
-    frontier outgrows ``MAX_FRONTIER_STATES``.  The table is validated before
-    it is returned, and its full edge set must have the rank that union-find
-    gives g's edges (n - 1 for a connected graph).  A table that fails either
-    check is a bug in the sweep, raised as ``CorruptRankTableError``.
+    A forest's table is closed-form; any other graph runs the partition sweep,
+    which is refused if its frontier outgrows ``MAX_FRONTIER_STATES``.  The
+    table is validated before it is returned, and its full edge set must have
+    the rank that union-find gives g's edges (n - 1 for a connected graph).  A
+    table that fails either check is a bug in the sweep, raised as
+    ``CorruptRankTableError``.
     """
-    _check_cap(g.m, cap)
     rank = edge_rank(g)
     if rank == g.m:
         # every subset of a forest's edges is a forest: l edges have rank l

@@ -12,14 +12,17 @@ from fractions import Fraction
 
 from .census import SubgraphCensus, build_census
 from .coefficients import ROUTE_DIRECT, ROUTES, integrand, verify_route_agreement
-from .enumeration import DEFAULT_EDGE_CAP, RankTable, _check_cap, build_rank_table
-from .errors import DisconnectedGraphError, InexactDivisionError
+from .enumeration import RankTable, build_rank_table
+from .errors import DisconnectedGraphError, EnumerationCapError, InexactDivisionError
 from .exactpoly import IntPolynomial, binomial, decimal_string
 from .graphs import Graph, complete_graph, is_connected
 
 # Apery's constant, the n -> infinity limit of E[L(K_n)]; reference line only.
 ZETA3 = Fraction(12020569031595943, 10**16)
 ZETA3_DISPLAY = decimal_string(ZETA3, 7)
+
+# Largest edge count the exact pipeline takes unless the caller raises it.
+DEFAULT_EDGE_CAP = 28
 
 
 @dataclass(frozen=True)
@@ -49,14 +52,25 @@ class MstExpectation:
         }
 
 
+def _check_cap(m: int, cap: int) -> None:
+    if m > cap:
+        raise EnumerationCapError(
+            f"graph has {m} edges, above the enumeration cap {cap}: "
+            f"2^{m} = {1 << m:.2e} subsets; raise the cap (`--cap {m}`) or use "
+            "a Monte Carlo estimate (`mstlength simulate --cap 0`)"
+        )
+
+
 def exact_inputs(g: Graph, *, cap: int) -> tuple[RankTable, SubgraphCensus]:
     """The rank table and the census of a connected graph: what every exact result reads.
 
-    A disconnected graph is refused before either is built.
+    A disconnected graph is refused first, then a graph with more than ``cap``
+    edges, both before anything is built.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("exact results require a connected graph")
-    return build_rank_table(g, cap=cap), build_census(g)
+    _check_cap(g.m, cap)
+    return build_rank_table(g), build_census(g)
 
 
 def expected_mst_length(g: Graph, *, cap: int = DEFAULT_EDGE_CAP) -> MstExpectation:

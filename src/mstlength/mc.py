@@ -69,8 +69,9 @@ class McEstimate:
         }
 
 
-def _block_ticks(seed: int, block: int, m: int) -> np.ndarray:
-    """Weight ticks for one block of trials: uint64, shape (BLOCK_TRIALS, m).
+def _block_ticks(seed: int, block: int, m: int, rows: int) -> np.ndarray:
+    """Weight ticks for the first ``rows`` trials of one block: uint64, shape
+    (rows, m), the first rows of the block's whole (BLOCK_TRIALS, m) draw.
 
     ``Generator.random()`` returns ``(next_uint64 >> 11) * 2**-53``, so each
     weight is an integer tick below 2**53 on the 2**-53 lattice; this draws the
@@ -78,7 +79,7 @@ def _block_ticks(seed: int, block: int, m: int) -> np.ndarray:
     exactly.
     """
     key = np.array([seed, block], dtype=np.uint64)
-    ticks = np.random.Philox(key=key).random_raw((BLOCK_TRIALS, m))
+    ticks = np.random.Philox(key=key).random_raw((rows, m))
     ticks >>= 11
     return ticks
 
@@ -206,7 +207,7 @@ def _block_sums(
     trials of one block: BLOCK_TRIALS rows, or fewer in the last block of a
     run of ``trials``."""
     rows = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
-    lengths = _mst_lengths(n, edges, _block_ticks(seed, block, len(edges))[:rows])
+    lengths = _mst_lengths(n, edges, _block_ticks(seed, block, len(edges), rows))
     return (*_lattice_sums(lengths), float(lengths.min()), float(lengths.max()))
 
 

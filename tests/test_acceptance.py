@@ -170,7 +170,7 @@ def test_criterion_7_boundary_values(sweep):
 
 
 def test_criterion_8_analytic_oracles():
-    # values frozen from the rank-ordering oracle (scripts/small_graph_oracle.py)
+    # values frozen from the rank-ordering oracle (tests/oracles.py)
     for n in range(2, 11):
         assert expected_mst_length(path_graph(n)).expectation == Fraction(n - 1, 2), n
     star = Graph(7, tuple((0, i) for i in range(1, 7)))

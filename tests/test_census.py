@@ -252,6 +252,15 @@ def test_long_cycle_census_is_empty():
     assert census.k4 == census.k32 == census.diamonds == 0
 
 
+def test_cycle_count_refuses_lengths_it_did_not_scan():
+    census = build_census(complete_graph(5), max_cycle_len=4)
+    assert [census.cycle_count(j) for j in (1, 2, 3, 4)] == [0, 0, 10, 15]
+    with pytest.raises(ValueError, match="^c5 needs cycle counts up to 5, census scanned up to 4$"):
+        census.cycle_count(5)
+    # a limit above n is scanned: K_4 has no 5- or 6-cycles
+    assert build_census(complete_graph(4)).cycle_count(6) == 0
+
+
 def test_long_cycle_expectation():
     # cycle law: n/2 - n/(n+1)
     result = expected_mst_length(cycle_graph(40), cap=40)

@@ -117,7 +117,7 @@ def test_verify_passes_on_generators(capsys):
 def test_verify_reports_failures_on_a_corrupted_table(capsys, monkeypatch):
     table = build_rank_table(bipartite_graph(3, 2))
     corrupted = RankTable(table.n, table.m, {**table.counts, (3, 2): 40})
-    monkeypatch.setattr(expectation, "build_rank_table", lambda g, cap: corrupted)
+    monkeypatch.setattr(expectation, "build_rank_table", lambda g: corrupted)
     code, out, _ = run_cli(capsys, "verify", "--gen", "bipartite", "3", "2")
     payload = json.loads(out)
     assert code == 4 and payload["all_pass"] is False
@@ -138,7 +138,7 @@ def test_verify_reports_failures_on_a_corrupted_table(capsys, monkeypatch):
 def test_coeffs_exits_4_when_the_routes_disagree(capsys, monkeypatch):
     table = build_rank_table(bipartite_graph(3, 2))
     corrupted = RankTable(table.n, table.m, {**table.counts, (3, 2): 40})
-    monkeypatch.setattr(expectation, "build_rank_table", lambda g, cap: corrupted)
+    monkeypatch.setattr(expectation, "build_rank_table", lambda g: corrupted)
     code, out, err = run_cli(capsys, "coeffs", "--gen", "bipartite", "3", "2")
     assert code == 4 and out == ""
     assert "coefficient routes disagree (rank, structural, nullity)" in err
@@ -150,7 +150,7 @@ def test_verify_reports_failures_when_a_cell_passes_the_nullity(capsys, monkeypa
     # Tutte polynomial then has a y-term above the graph's nullity 0.
     table = build_rank_table(path_graph(5))
     moved = {**table.counts, (3, 3): table.counts[(3, 3)] - 1, (3, 2): 1}
-    monkeypatch.setattr(expectation, "build_rank_table", lambda g, cap: RankTable(5, 4, moved))
+    monkeypatch.setattr(expectation, "build_rank_table", lambda g: RankTable(5, 4, moved))
     code, out, err = run_cli(capsys, "verify", "--gen", "path", "5", "--format", "plain")
     assert code == 4 and err == ""
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
@@ -184,6 +184,16 @@ def test_verify_disconnected_exit_2(tmp_path, capsys, command):
     # every exact command refuses a disconnected graph with the same message
     doc = tmp_path / "disc.txt"
     doc.write_text("4 2\n0 1\n2 3\n")
+    code, out, err = run_cli(capsys, command, str(doc))
+    assert code == 2 and out == ""
+    assert err == "error: exact results require a connected graph\n"
+
+
+@pytest.mark.parametrize("command", ["compute", "coeffs", "verify"])
+def test_disconnected_graph_above_the_cap_exits_2(tmp_path, capsys, command):
+    # connectivity is refused before the edge cap: two 15-cycles, 30 edges
+    doc = tmp_path / "two_c15.txt"
+    doc.write_text("30 30\n" + "".join(f"{i} {15 * (i // 15) + (i + 1) % 15}\n" for i in range(30)))
     code, out, err = run_cli(capsys, command, str(doc))
     assert code == 2 and out == ""
     assert err == "error: exact results require a connected graph\n"

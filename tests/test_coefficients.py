@@ -67,15 +67,15 @@ def test_structural_route_examples(k32):
 def test_census_scanned_below_six_is_refused_not_read_as_zeros():
     # K_5 has twelve 5-cycles.  A census scanned to length 4 would read c5 as
     # 0, so a_5 and the l = 5 identity are refused, not reported as a route
-    # disagreement or a failed identity.
+    # disagreement or a failed identity.  The l = 6 identity reads c5 first.
     g = complete_graph(5)
     table, census = build_rank_table(g), build_census(g, max_cycle_len=4)
     assert [coeff_structural(census, i) for i in (3, 4)] == [10, 15]
     assert check_rank_cycle_correction(table, census, 4)
     for i in (5, 6):
-        with pytest.raises(ValueError, match=f"up to {i}, census scanned up to 4"):
+        with pytest.raises(ValueError, match=f"^c{i} needs cycle counts up to {i}, census scanned up to 4$"):
             coeff_structural(census, i)
-        with pytest.raises(ValueError, match=f"up to {i}, census scanned up to 4"):
+        with pytest.raises(ValueError, match="^c5 needs cycle counts up to 5, census scanned up to 4$"):
             check_rank_cycle_correction(table, census, i)
     with pytest.raises(ValueError, match="census scanned up to 4"):
         verify_route_agreement(table, census)

@@ -88,24 +88,43 @@ def test_row_sums_are_binomials():
 
 
 def test_cap_refusal_message():
+    # the exact pipeline owns the edge cap; the sweep checks none
     with pytest.raises(EnumerationCapError, match="2\\^36"):
-        build_rank_table(complete_graph(9))
+        expectation.exact_inputs(complete_graph(9), cap=expectation.DEFAULT_EDGE_CAP)
     with pytest.raises(EnumerationCapError) as refusal:
-        build_rank_table(complete_graph(10), cap=44)  # 45 edges
+        expectation.exact_inputs(complete_graph(10), cap=44)  # 45 edges
     assert "--cap 45" in str(refusal.value) and "simulate --cap 0" in str(refusal.value)
 
 
 def test_cap_override_allows_more_edges():
     g = cycle_graph(30)
-    table = build_rank_table(g, cap=30)
+    table, _ = expectation.exact_inputs(g, cap=30)
     assert table.row_sum(0) == 1
+    with pytest.raises(EnumerationCapError, match="30 edges, above the enumeration cap 29"):
+        expectation.exact_inputs(g, cap=29)
+
+
+def test_rank_table_takes_no_cap():
+    # bounded only by Graph's MAX_EDGES and the state budget
+    g = complete_graph(10)
+    assert build_rank_table(g) == expectation.exact_inputs(g, cap=45)[0]
+    with pytest.raises(TypeError):
+        build_rank_table(g, cap=45)
+
+
+def test_disconnected_graph_above_the_cap_is_refused_as_disconnected():
+    c15 = cycle_graph(15).edges
+    g = Graph(30, c15 + tuple((u + 15, v + 15) for u, v in c15))
+    assert g.m == 30 > expectation.DEFAULT_EDGE_CAP
+    with pytest.raises(DisconnectedGraphError):
+        expectation.exact_inputs(g, cap=expectation.DEFAULT_EDGE_CAP)
 
 
 def test_k10_exact_expectation(monkeypatch):
     tables = []
 
-    def recording_build(g, *, cap):
-        tables.append(build_rank_table(g, cap=cap))
+    def recording_build(g):
+        tables.append(build_rank_table(g))
         return tables[-1]
 
     monkeypatch.setattr(expectation, "build_rank_table", recording_build)
@@ -561,7 +580,7 @@ _CATERPILLAR = Graph(
 def test_forest_table_matches_the_sweep(g):
     # disconnected, isolated-vertex and edgeless forests as well
     assert edge_rank(g) == g.m
-    assert build_rank_table(g, cap=g.m).counts == _frontier_counts(g)
+    assert build_rank_table(g).counts == _frontier_counts(g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -586,7 +605,7 @@ def test_trees_take_no_sweep_step(monkeypatch, g):
 
     monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
     # every subset of a tree's edges is a forest
-    assert build_rank_table(g, cap=g.m).counts == {(l, l): binomial(g.m, l) for l in range(g.m + 1)}
+    assert build_rank_table(g).counts == {(l, l): binomial(g.m, l) for l in range(g.m + 1)}
     assert steps == []
 
 
@@ -762,7 +781,7 @@ _TUTTE_CORPUS = [
 )
 def test_tutte_matches_its_special_values(g):
     # the only exact oracle for tables too large for the subset loop
-    tutte = build_rank_table(g, cap=g.m).tutte
+    tutte = build_rank_table(g).tutte
     for (x, y), value in tutte_special_values(g).items():
         assert _tutte_at(tutte, x, y) == value, (x, y)
 
@@ -785,7 +804,7 @@ def test_special_values_catch_every_valid_one_step_move(g, moves):
     # A count moved from (l, r) to (l, r - 1) keeps every row sum, so the
     # hyperbola checks cannot see it; the full-rank check already refuses
     # such a move in row m.
-    table = build_rank_table(g, cap=g.m)
+    table = build_rank_table(g)
     values = tutte_special_values(g)
     tried = 0
     for (l, r), c in table.counts.items():
@@ -813,7 +832,7 @@ def test_special_values_catch_every_valid_one_step_move(g, moves):
 @example(Graph(13, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6), (6, 7),
                     (7, 8), (7, 9), (7, 10), (8, 9), (8, 10), (9, 10), (10, 11), (11, 12))))
 def test_tutte_matches_whitney_expansion(g):
-    table = build_rank_table(g, cap=40)
+    table = build_rank_table(g)
     assert tutte_polynomial(table) == tutte_polynomial_whitney(table)
 
 

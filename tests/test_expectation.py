@@ -29,7 +29,7 @@ from .oracles import (
 )
 from .strategies import connected_graphs
 
-# Ground truth from the rank-ordering oracle (scripts/small_graph_oracle.py).
+# Ground truth from the rank-ordering oracle (tests/oracles.py).
 ORACLE_VALUES = {
     "K_2": Fraction(1, 2),
     "K_3": Fraction(3, 4),

@@ -119,10 +119,20 @@ def test_block_ticks_are_the_generator_weights_on_the_lattice(seed):
     # itself.  Both must give the same weights, bit for bit, or the stream
     # named by GENERATOR_ID has changed.
     for block in (0, 1, 5):
-        ticks = _block_ticks(seed, block, 7)
+        ticks = _block_ticks(seed, block, 7, BLOCK_TRIALS)
         assert ticks.dtype == np.uint64 and int(ticks.max()) < 2**53
         weights = ticks * 2**-53
         assert weights.tobytes() == _generator_weights(seed, block, 7).tobytes(), (seed, block)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**63 + 1])
+def test_a_partial_block_draws_the_generator_first_rows(seed):
+    # a short run draws only its rows, and they are the whole block's first rows
+    weights = _generator_weights(seed, 2, 9)
+    for rows in (1, 17, BLOCK_TRIALS - 1):
+        part = _block_ticks(seed, 2, 9, rows)
+        assert part.shape == (rows, 9)
+        assert (part * 2**-53).tobytes() == weights[:rows].tobytes(), (seed, rows)
 
 
 def test_seeds_outside_64_bits_rejected():
@@ -185,7 +195,7 @@ def test_simulate_matches_reference_per_trial():
     for g in graphs:
         for block, rows in [(0, BLOCK_TRIALS), (0, 1), (1, 500)]:
             first = block * BLOCK_TRIALS
-            lengths = _mst_lengths(g.n, g.edges, _block_ticks(seed, block, g.m)[:rows])
+            lengths = _mst_lengths(g.n, g.edges, _block_ticks(seed, block, g.m, rows))
             expected = _reference_lengths(g, seed, first, first + rows)
             assert [x.hex() for x in lengths] == [x.hex() for x in expected], (g, block, rows)
             ks = [int(x * 2**53) for x in expected]
@@ -228,16 +238,16 @@ def test_statistics_exact_at_the_top_of_the_range_across_a_slice(monkeypatch):
     g = path_graph(64)
     assert g.m == MAX_EDGES
 
-    def top_ticks(seed, block, m):
+    def top_ticks(seed, block, m, rows):
         rng = np.random.default_rng(block)
         ticks = rng.integers(2**53 - 2**20, 2**53, size=(BLOCK_TRIALS, m), dtype=np.uint64)
         ticks[0] = 2**53 - 1
         ticks[1:3] = 0
         ticks[1, block] = 2**53 - 1
-        return ticks
+        return ticks[:rows]
 
     runs = [(0, BLOCK_TRIALS), (1, BLOCK_TRIALS), (2, 1)]
-    lengths = np.concatenate([_mst_lengths(g.n, g.edges, top_ticks(0, b, g.m)[:rows]) for b, rows in runs])
+    lengths = np.concatenate([_mst_lengths(g.n, g.edges, top_ticks(0, b, g.m, rows)) for b, rows in runs])
     assert lengths.max() <= MAX_EDGES and lengths[3:BLOCK_TRIALS].min() > MAX_EDGES - 1
     assert lengths[1] == (2**53 - 1) * 2**-53 and lengths[2] == 0.0
     ks = [int(x * 2**53) for x in lengths.tolist()]
