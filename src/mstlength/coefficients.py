@@ -5,12 +5,14 @@ Writing the integrand as p(t) = -1 + sum a_i t^i, the routes are:
 
 * ``direct``      -- read a_i off the expanded subset-sum polynomial.
 * ``eq2``         -- alternating binomial sum over per-edge-count component
-                     totals (one scalar sum per index, binomials from one
-                     Pascal table per m, signs by parity).
+                     totals (one scalar sum per index, its signed binomials
+                     cached per m).
 * ``rank``        -- p(t) read off T_x along the hyperbola (Steele's formula),
                      valid because the table's rows sum to binomials; T comes
-                     from the table's rank generating polynomial by two Taylor
-                     shifts, not from the component sums.
+                     from the table's rank generating polynomial evaluated as
+                     packed integers (width proof at
+                     ``enumeration.tutte_polynomial``), not from the
+                     component sums.
 * nullity route   -- for i >= 3 only: cyclic subgraphs weighted by nullity
                      (edges minus rank), the shortest of the exact sums.
 * ``structural``  -- for i <= 6 only: closed forms in vertex, edge, cycle,
@@ -23,6 +25,8 @@ routes deliberately share nothing beyond the rank table and the census.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
+from operator import mul
 
 from .census import SubgraphCensus
 from .enumeration import RankTable, direct_integrand, min_subgraph_rank
@@ -39,27 +43,20 @@ STRUCTURAL_MAX_INDEX = 6
 
 
 @lru_cache(maxsize=None)
-def _pascal_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..m of Pascal's triangle: ``_pascal_rows(m)[k][j]`` is C(k, j)."""
-    rows = [(1,)]
-    for _ in range(m):
-        prev = rows[-1]
-        rows.append((1, *(a + b for a, b in zip(prev, prev[1:])), 1))
-    return tuple(rows)
+def _signed_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    """``_signed_rows(m)[i][l]`` is (-1)^(i-l) C(m-l, i-l), for l <= i <= m."""
+    return tuple(tuple((-1) ** (i - l) * comb(m - l, i - l) for l in range(i + 1)) for i in range(m + 1))
 
 
 def _alternating_sum(sums: tuple[int, ...], m: int, i: int, start: int) -> int:
     """sum_{l=start}^{i} (-1)^{i-l} C(m-l, m-i) sums[l], which is 0 for i > m.
 
-    C(m-l, m-i) = C(m-l, i-l) comes from the Pascal rows of this m, and the
-    terms are split by the parity of i - l instead of multiplied by a sign.
+    The signed C(m-l, m-i) = C(m-l, i-l) are cached per m, and the sum of
+    products runs in C.
     """
     if i > m:
         return 0
-    rows = _pascal_rows(m)
-    plus = sum(rows[m - l][i - l] * sums[l] for l in range(i, start - 1, -2))
-    minus = sum(rows[m - l][i - l] * sums[l] for l in range(i - 1, start - 1, -2))
-    return plus - minus
+    return sum(map(mul, _signed_rows(m)[i][start:], sums[start:]))
 
 
 def coeff_from_component_sums(table: RankTable, i: int) -> int:
@@ -129,10 +126,9 @@ def _cycle_sums(census: SubgraphCensus, top: int, *, all_cycles: bool = False) -
     ``all_cycles`` is set; X_l is 0 for l > m, where no l edges exist.
     """
     m = census.m
-    rows = _pascal_rows(m)
     sums = tuple(
         sum(
-            census.cycle_count(j) * rows[m - j][l - j]
+            census.cycle_count(j) * comb(m - j, l - j)
             for j in range(3 if all_cycles else min_subgraph_rank(l), l + 1)
         )
         for l in range(min(top, m) + 1)

@@ -78,12 +78,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import compress, product
 from math import isqrt
 
 import numpy as np
 
 from .errors import CorruptRankTableError, DisconnectedGraphError, FrontierOverflowError
-from .exactpoly import IntPolynomial, binomial
+from .exactpoly import IntPolynomial, balanced_digits, binomial, digit_bits
 from .graphs import MAX_EDGES, Graph, edge_rank
 
 # State budget for the frontier sweep; beyond this the partition family is too
@@ -568,63 +569,61 @@ def direct_integrand(table: RankTable) -> IntPolynomial:
     return IntPolynomial(acc)
 
 
-def _taylor_shift(rows: list[list[int]]) -> list[list[int]]:
-    """Rows of p(z - 1) from the rows of p(z) = sum_k rows[k] z^k.
-
-    Each row is a coefficient list in a second variable, shifted along: d
-    passes of synthetic division by (z + 1), O(d^2) row subtractions and no
-    binomials.
-    """
-    rows = list(rows)
-    for i in range(len(rows) - 1):
-        for k in range(len(rows) - 2, i - 1, -1):
-            rows[k] = [a - b for a, b in zip(rows[k], rows[k + 1])]
-    return rows
-
-
 def tutte_polynomial(table: RankTable) -> dict[tuple[int, int], int]:
-    """Tutte polynomial from the rank table by two Taylor shifts.
+    """Tutte polynomial from the rank table, evaluated as packed integers.
 
     The Whitney rank sum reads T(x, y) = R(x-1, y-1) for the rank generating
-    polynomial R(u, v) = sum over cells of k_r^l u^{(n-1)-r} v^{l-r}.  R is
-    filled as an integer grid, sized by the table's own cells, then shifted by
-    -1 in u and in v.  T comes back as its nonzero coefficients,
-    ``{(x_deg, y_deg): c}``.  Requires a table built from a connected graph (so
-    the graph itself has rank n-1).
+    polynomial R(u, v) = sum over cells of k_r^l u^a v^b, a = (n-1)-r < w and
+    b = l-r < h, sized by the table's own cells.  Each u-row of R is evaluated
+    at v = Y - 1, Y = 2^bits, by Horner's rule; Horner's rule in x-1 over those
+    w ints (about w^2/2 subtractions) leaves row x^i of T as h balanced base-Y
+    digits.  Width proof: t_ij sums k_r^l (-1)^(a-i+b-j) C(a, i) C(b, j) over
+    the cells, so |t_ij| <= 2^(w+h-2) sum |k_r^l| whatever the counts.  T comes
+    back as its nonzero ``{(x_deg, y_deg): c}``; the table must come from a
+    connected graph (so the graph itself has rank n-1).
     """
     _require_connected(table)
     top = table.n - 1
     width = max(top - r for _, r in table.counts) + 1
     height = max(l - r for l, r in table.counts) + 1
+    bits = digit_bits(sum(map(abs, table.counts.values())) << (width + height - 2))
     grid = [[0] * height for _ in range(width)]  # grid[a][b]: coefficient of u^a v^b
     for (l, r), count in table.counts.items():
         grid[top - r][l - r] += count
-    by_y = _taylor_shift([list(column) for column in zip(*_taylor_shift(grid))])
-    return {(i, j): c for j, row in enumerate(by_y) for i, c in enumerate(row) if c}
+    rows: list[int] = []  # T's x^i rows: Horner's rule in (x-1) over R's u-rows
+    for row in reversed(grid):
+        at_v = 0
+        for c in reversed(row):
+            at_v = (at_v << bits) - at_v + c
+        rows = [a - b for a, b in zip([at_v, *rows], [*rows, 0])]
+    digits = balanced_digits(rows, bits, height)
+    return dict(zip(compress(product(range(width), range(height)), digits), filter(None, digits)))
 
 
 def _along_hyperbola(poly: dict[tuple[int, int], int], nx: int, ny: int) -> IntPolynomial:
     """sum c_ij t^{nx-i} (1-t)^{ny-j} for poly = sum c_ij x^i y^j (i <= nx).
 
     That is poly at (x, y) = (1/t, 1/(1-t)), on the hyperbola (x-1)(y-1) = 1,
-    times t^nx (1-t)^ny: an integer polynomial in t, built column by column
-    (A_j(t) = sum_i c_ij t^{nx-i}) by Horner's rule in (1-t).
+    times t^nx (1-t)^ny: an integer polynomial in t, evaluated at t = Y = 2^bits
+    column by column (A_j(Y) = sum_i c_ij Y^{nx-i}) by Horner's rule in (1-t)
+    and read back as balanced base-Y digits.
 
     T and T_x of a graph have y-degree at most its nullity, so j <= ny.  A
     corrupted table can pass it by k; the columns then run to ny + k and the
     result is divided by (1-t)^k, exactly, by k passes of integer prefix sums:
     each cell (l, r) of the table adds a multiple of (1-t)^(m-l) to the sum, so
-    any table with l <= m divides.
+    any table with l <= m divides.  Width proof: before the division a digit
+    sums c_ij times coefficients of (1-t)^(ny+k-j), so |digit| <= 2^(ny+k) sum |c_ij|.
     """
     k = max(0, max((j for _, j in poly), default=0) - ny)
-    columns = [[0] * (nx + ny + k + 1) for _ in range(ny + k + 1)]
+    bits = digit_bits(sum(map(abs, poly.values())) << (ny + k))
+    columns = [0] * (ny + k + 1)
     for (i, j), c in poly.items():
-        columns[j][nx - i] = c
-    acc = [0] * (nx + ny + k + 1)
+        columns[j] += c << bits * (nx - i)
+    acc = 0
     for column in columns:
-        # acc (1-t) + column; the degree never exceeds nx + ny + k, so nothing is cut off
-        acc = [c + a - b for c, a, b in zip(column, acc, [0] + acc)]
-    return IntPolynomial(acc).divide_by_one_minus_t(k)
+        acc = column + acc - (acc << bits)  # acc (1-t) + column, at t = Y
+    return IntPolynomial(balanced_digits([acc], bits, nx + ny + k + 1)).divide_by_one_minus_t(k)
 
 
 def _hyperbola_sides(table: RankTable, t: Fraction) -> tuple[Fraction, Fraction, Fraction]:

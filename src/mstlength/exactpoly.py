@@ -1,8 +1,10 @@
-"""Exact arithmetic carriers: rationals and integer polynomials.
+"""Exact arithmetic carriers: rationals, integer polynomials and packed integers.
 
 Rationals are ``fractions.Fraction`` (always lowest terms, positive
 denominator).  Integer polynomials in one variable are dense coefficient
-tuples.  No floating point anywhere in this module.
+tuples.  A polynomial evaluated at 2^bits packs its coefficients into one int,
+one balanced digit each, and ``balanced_digits`` reads them back.  No floating
+point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable
+
+import numpy as np
 
 from .errors import InexactDivisionError
 
@@ -24,6 +28,32 @@ def binomial(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return math.comb(a, b)
+
+
+def digit_bits(bound: int) -> int:
+    """Bits of a balanced digit that holds every d with |d| <= ``bound``: the
+    bound's bits and a sign bit, rounded up to whole 64-bit words."""
+    return (bound.bit_length() + 64) // 64 * 64
+
+
+def balanced_digits(values: list[int], bits: int, count: int) -> list[int]:
+    """The ``count`` balanced base-2^bits digits of each value in turn.
+
+    A value is read as sum_j d_j 2^(bits j) with every d_j in
+    [-2^(bits-1), 2^(bits-1)), for bits a multiple of 64.  2^(bits-1) added to
+    every digit makes it unsigned, and its top bit flipped back leaves it in
+    two's complement, so the bytes of the values are int64 words, the top word
+    of each digit signed.  A value that its digits cannot hold raises
+    OverflowError.
+    """
+    words, size = bits // 64, bits // 8
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    raw = b"".join(((value + offset) ^ offset).to_bytes(size * count, "little") for value in values)
+    table = np.frombuffer(raw, dtype="<u8").reshape(-1, words)
+    digits = table[:, -1].view("<i8").astype(object)
+    for k in range(words - 2, -1, -1):
+        digits = (digits << 64) + table[:, k].astype(object)
+    return digits.tolist()
 
 
 class IntPolynomial:

@@ -6,7 +6,9 @@ on 7 vertices.  The oracles are exponential, so each check states the bound of
 the graphs it covers and how many graphs that is.
 """
 
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +16,7 @@ from mstlength.census import build_census
 from mstlength.cli import _verify_checks
 from mstlength.coefficients import cycle_transform_value
 from mstlength.enumeration import build_rank_table
+from mstlength.exactpoly import IntPolynomial
 from mstlength.expectation import expected_mst_length
 from mstlength.graphs import Graph, is_connected
 
@@ -86,3 +89,28 @@ def test_cycle_transform_at_7_on_every_seven_vertex_graph():
         for census in censuses
     )
     assert sum(cycle_transform_value(census, 7) == census.cycle_count(7) for census in censuses) == 59
+
+
+def test_adding_an_edge_couples_the_integrands_on_six_vertices():
+    # Under shared weights the graph with the extra edge e = uv has no more
+    # components at any t, so p_G(t) - p_(G+e)(t) = t P(u, v apart in G_t):
+    # no constant term, a quotient with values in [0, 1], and a shorter
+    # expected MST.  The two integrands come from two separate sweeps.
+    graphs = [g for g in connected_atlas() if g.n <= 6]
+    points = [Fraction(j, 10) for j in range(11)]
+    pairs, failing = 0, []
+    for g in graphs:
+        p = build_rank_table(g).rank_integrand
+        for e in combinations(range(g.n), 2):
+            if g.has_edge(*e):
+                continue
+            pairs += 1
+            q = build_rank_table(Graph(g.n, tuple(sorted((*g.edges, e))))).rank_integrand
+            gap = [p.coefficient(i) - q.coefficient(i) for i in range(g.m + 2)]
+            apart = IntPolynomial(gap[1:])
+            if gap[0] or not all(0 <= apart.evaluate(t) <= 1 for t in points) or not (
+                q.integrate_unit_interval() < p.integrate_unit_interval()
+            ):
+                failing.append((g.edges, e))
+    assert (len(graphs), pairs) == (143, 821)
+    assert failing == []

@@ -987,6 +987,46 @@ def test_tau_and_p_rank_divide_exactly_past_the_nullity(g, data):
     )
 
 
+def _assert_rank_route_matches_oracles(table, t):
+    """T, tau and p_rank of ``table`` against the Whitney expansion and the
+    Fraction-evaluated hyperbola verdicts at t."""
+    n, m = table.n, table.m
+    whitney = tutte_polynomial_whitney(table)
+    assert table.tutte == whitney
+    x, y = 1 / t, 1 / (1 - t)
+    at_point = sum((c * x**i * y**j for (i, j), c in whitney.items()), Fraction(0))
+    partial = sum((i * c * x ** (i - 1) * y**j for (i, j), c in whitney.items() if i), Fraction(0))
+    assert table.tau.evaluate(t) == at_point * t ** (n - 1) * (1 - t) ** (m - n + 1)
+    assert table.rank_integrand.evaluate(t) == partial * t ** (n - 2) * (1 - t) ** (m - n + 2)
+    assert _tutte_verdicts(table, t) == hyperbola_verdicts_by_fractions(table, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=7, max_m=12), st.data())
+def test_rank_route_is_exact_on_tables_bumped_past_64_bits(g, data):
+    # Bumps by 2^63 - 1 and 2^80 widen every digit past one word, on a cell
+    # of the table or on a cell past the nullity, where tau and p_rank are
+    # divided by a power of (1-t).
+    table = build_rank_table(g)
+    delta = data.draw(st.sampled_from([(1 << 63) - 1, -((1 << 63) - 1), -(1 << 80)]))
+    if data.draw(st.booleans()):
+        l = data.draw(st.integers(g.m - g.n + 2, g.m))
+        cell = (l, data.draw(st.integers(0, l - (g.m - g.n + 2))))
+    else:
+        cell = data.draw(st.sampled_from(sorted(set(table.counts) - {(g.m, g.n - 1)})))
+    bumped = RankTable(g.n, g.m, {**table.counts, cell: table.counts.get(cell, 0) + delta})
+    t = data.draw(st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)]))
+    _assert_rank_route_matches_oracles(bumped, t)
+
+
+@pytest.mark.parametrize("g", [complete_graph(11), _K12_MINUS_MATCHING], ids=["K11", "K12-M"])
+def test_rank_route_is_exact_on_the_widest_digits_of_the_corpus(g):
+    table = build_rank_table(g)
+    for t in (Fraction(1, 3), Fraction(2, 5)):
+        _assert_rank_route_matches_oracles(table, t)
+        assert _tutte_verdicts(table, t) == (True, True, True)
+
+
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs(), st.data())
 def test_tutte_and_tutte_x_are_zero_free_coefficient_maps(g, data):

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from mstlength.errors import InexactDivisionError
-from mstlength.exactpoly import IntPolynomial, binomial, decimal_string
+from mstlength.exactpoly import IntPolynomial, balanced_digits, binomial, decimal_string, digit_bits
 
 from .oracles import evaluate_by_fractions, multiply_by_one_minus_t
 
@@ -143,3 +143,27 @@ def test_decimal_string():
     assert decimal_string(Fraction(-1, 3), 4) == "-0.3333"
     assert decimal_string(Fraction(5), 0) == "5"
     assert decimal_string(Fraction(1, 8), 2) == "0.13"
+
+
+@pytest.mark.parametrize("bits", [64, 128, 192])
+def test_balanced_digits_round_trip_at_both_digit_bounds(bits):
+    low, high = -(1 << bits - 1), (1 << bits - 1) - 1
+    rows = [[low], [high], [low, high, 0, low], [high, low, high, high], [0, 0, 0, high], [0, 0, 0, 0]]
+    values = [sum(d << bits * j for j, d in enumerate(row)) for row in rows]
+    for row, value in zip(rows, values):
+        assert balanced_digits([value], bits, len(row)) == row
+    # several values decode in turn, each to the same number of digits
+    wide = [row + [0] * (4 - len(row)) for row in rows]
+    assert balanced_digits(values, bits, 4) == [d for row in wide for d in row]
+
+
+def test_balanced_digits_refuse_a_value_past_their_range():
+    for bits in (64, 128):
+        half = 1 << bits - 1
+        for value, count in ((half, 1), (-half - 1, 1), (half << bits, 2), (1 << 2 * bits, 2)):
+            with pytest.raises(OverflowError):
+                balanced_digits([value], bits, count)
+    # a bound's digits hold it and its negative, with the sign bit to spare
+    assert [digit_bits(b) for b in (0, 1, (1 << 63) - 1, 1 << 63, (1 << 127) - 1, 1 << 127)] == [
+        64, 64, 64, 128, 128, 192,
+    ]
