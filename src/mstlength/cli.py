@@ -305,7 +305,7 @@ def _add_common(
             "--gen",
             nargs="+",
             metavar=("KIND", "PARAM"),
-            help="generate the input graph: complete N | bipartite A B | cycle N | path N",
+            help="generate the input graph: complete N | bipartite A B | cycle N | path N | grid R C | gnm N M SEED",
         )
 
 

@@ -7,11 +7,10 @@ all coefficient routes -- is a function of this table, so it is computed once.
 
 The table comes from a partition sweep over the edge list.  Edges are taken or
 skipped one at a time while tracking the partition of "active" vertices (those
-with edges still pending) plus the rank, the number of forest edges taken, so
-the 2^m subsets are aggregated by distributivity instead of visited one by
-one.  The counts are exact integers; the cost grows with the number of
-partition states on the frontier, not with 2^m, which makes dense graphs such
-as the 28-edge complete graph on 8 vertices cheap on a single core.
+with edges still pending), so the 2^m subsets are aggregated by distributivity
+instead of visited one by one.  The counts are exact integers; the cost grows
+with the partition states on the frontier, not with 2^m, which makes dense
+graphs such as the 28-edge complete graph on 8 vertices cheap on one core.
 
 A partition is spelled by first-slot names, as in frontier-based search
 (Kawahara-Inoue-Iwashita-Minato, 2017): one label per active vertex, the
@@ -19,33 +18,35 @@ index of the first slot of its block, so (0, 1, 0, 3) puts the first and third
 active vertices in one block and the second and fourth in blocks of their own.
 Each partition has exactly one such spelling, and slot j's name is at most j.
 A new vertex takes its own slot index; taking an edge between blocks a < b
-renames b to a and adds one to the rank; retiring a vertex drops its slot,
-renames its block by the block's next slot if the dropped slot was the first,
-and lowers the names above the dropped slot by one.  No step renumbers the
-whole row.
+renames b to a; retiring a vertex drops its slot, renames its block by the
+block's next slot if the dropped slot was the first, and lowers the names
+above the dropped slot by one.  No step renumbers the whole row.
 
-Each step moves every state at once with numpy.  The states are three arrays
-of one row each: the labels as an int8 matrix, the ranks, and an object array
-of packed big-int counts.  Equal children of a step are found by sorting
-mixed-radix int64 keys of (labels, rank) and are summed with one
-``np.add.reduceat``.
-
-A state's counts are packed by nullity, the exponent of v in the rank
-generating polynomial R(u, v): 64-bit digit nu of a rank-r state counts its
-(r + nu)-edge subsets.  A skip child keeps its parent's int, the take child of
-an edge that joins two blocks gains an edge and a rank, so it is the parent's
-int unchanged, and only an edge inside a block (a loop) shifts the int by one
-digit.  A digit counts subsets of at most m edges of one size, so it is at
-most C(m, r + nu) <= C(63, 31) < 2^63 and no digit carries; an int holds at
-most m - n + c + 1 digits for a graph with c components.
+Each step moves every state at once with numpy.  A state is its partition
+alone: the labels as an int8 matrix and an object array of packed big-int
+counts.  Equal children of a step are found by sorting mixed-radix int64 keys
+of the labels and are summed with one ``np.add.reduceat``.
+A state's counts are one int of 64-bit digits in slots of D = nullity(g) + 1:
+digit c D + nu counts the subsets that completed c components (blocks whose
+every vertex retired) and have nullity nu, the exponent of v in the rank
+generating polynomial R(u, v); their rank is the vertices seen minus the
+state's blocks minus c.  A skip child, and the take child of an edge that joins
+two blocks (one more edge and rank), keep the parent's int; an edge inside a
+block (a loop) shifts it by one digit, and a retired slot that was the last of
+its block by one slot.  Slot proof: a nonzero digit counts real subsets of one
+cell of the edges swept, at most C(m, l) <= C(63, 31) < 2^63, so no digit
+carries; no subset has nullity above nullity(g), so no loop moves a digit past
+index D - 1 of its slot.  After r vertices retire an int holds at most
+(r + 1) D digits, so a step whose distinct states times (r + 1) D digits of 8
+bytes pass ``MAX_FRONTIER_BYTES`` is refused before it adds any count.
 
 The stars of the last three vertices in BFS order, z, y and then x, take no
 step: when the sweep reaches z's first edge, every edge left joins a star to an
 active vertex, to a vertex first seen in the stars (a block of its own) or to
 another star.  (A graph whose star search reaches step 0 first is finished
 with stars that have no edges: no subset joins them, so they change no count.)
-So a state's completion depends only on its rank, on the edges among the star
-set S, and on each block B's tie vector t_B, its edges to each star.
+So a state's completion depends only on the edges among the star set S and on
+each block B's tie vector t_B, its edges to each star.
 With f_b(w) = ((1 + w)^b - 1) / w (s >= 1 of b edges into one block add one
 rank and s - 1 nullity), gluing the stars of each block of a partition sigma
 of S into one vertex gives F(sigma) = (1 + w)^e(sigma)
@@ -57,9 +58,11 @@ more nullity.  By Moebius inversion over the partition lattice (Rota, 1964),
 W(pi) = sum_(sigma <= pi) mu(sigma, pi) F(sigma), taken as F(pi) minus the W
 below it, counts the subsets that join the stars into pi exactly, and the
 completion is G = sum_pi z^(|S| - |pi|) W(pi) / w^(|S| - |pi|).  The states
-are grouped by rank and sorted ties, and each group's summed int is
-multiplied by the packed w-polynomial of each rank gain.
-K_n peaks at the Bell(n-3) partitions of the vertices that wait for the stars.
+are grouped by sorted ties and block count b; each group's summed int is
+multiplied by the w-polynomial of each rank gain k of its G, and slot c of
+that product, of rank seen - b - c + k, is added at one offset by b - k.  The
+offsets are then packed into one int by falling rank, decoded once.  K_n
+peaks at the Bell(n-3) partitions of the vertices that wait for the stars.
 
 The finish packs z as well, in slots of E + 1 digits for the E edges of the
 stars: a coefficient z^k w^nu of F(sigma), W(pi) or G counts subsets of k + nu
@@ -70,7 +73,8 @@ decodes to it.  Every subset that W(pi) counts has nullity at least |S| - |pi|
 as weighted, so the lowest |S| - |pi| digits of each slot are 0 and the shift
 divides by w^(|S| - |pi|) exactly.  Every digit of a product with a state's
 int, or of a sum of them, counts subsets of one final cell (l, r): it is at
-most C(m, l) <= C(63, 31) < 2^63, so no digit carries.
+most C(m, l) <= C(63, 31) < 2^63, so no digit carries, and has nullity at
+most nullity(g) < D, so it stays in its D-digit slot.
 """
 
 from __future__ import annotations
@@ -87,9 +91,9 @@ from .errors import CorruptRankTableError, DisconnectedGraphError, FrontierOverf
 from .exactpoly import IntPolynomial, balanced_digits, binomial, digit_bits
 from .graphs import MAX_EDGES, Graph, edge_rank
 
-# State budget for the frontier sweep; beyond this the partition family is too
-# rich to hold in memory and the caller should shrink the graph.
-MAX_FRONTIER_STATES = 1 << 21
+# Byte budget of a sweep step, by the module docstring's estimate: the least
+# multiple of 32 MiB refusing no scripts/limits_table.py graph 2^21 states took.
+MAX_FRONTIER_BYTES = 17 << 25
 
 
 def min_subgraph_rank(edge_count: int) -> int:
@@ -204,11 +208,8 @@ class RankTable:
 
 # Width proof.  A Graph has at most MAX_EDGES = 63 edges, so at most 126 of its
 # vertices ever enter the frontier: a row of labels has at most 126 slots and
-# slot j's name is at most j <= 125.  A state's rank counts forest edges, so it
-# is at most 63.  All of them fit int8.
+# slot j's name is at most j <= 125, which fits int8.
 _LABEL_DTYPE = np.int8
-# The rank is the lowest digit of a state's first key word.
-_RANK_RADIX = 128
 # Every key word stays below this bound, so it fits int64.
 _WORD_LIMIT = 1 << 63
 
@@ -224,23 +225,28 @@ def _merge_rows(labels: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> np.ndarra
     return np.where(labels == hi, lo, labels)
 
 
-def _retire_rows(labels: np.ndarray, drops: list[int]) -> np.ndarray:
+def _retire_rows(labels: np.ndarray, drops: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Drop the slots ``drops`` from every first-slot row, one slot at a time.
 
     A dropped slot s that heads its block hands the headship to the block's
     next slot (the first later slot named s): the block's other slots take
     that slot's index as their name.  Then every name above s goes down by
-    one, as its slot moves left.  Returns the kept rows.
+    one, as its slot moves left.  Returns the kept rows and, per row, the
+    blocks completed: those whose last slot was dropped.
     """
+    completed = 0
     # Highest slot first, so the lower dropped slots keep their index.
     for s in sorted(drops, reverse=True):
         later = labels[:, s + 1 :]
         named_s = later == s  # only in rows where slot s heads its block
+        alone = labels[:, s] == s
         if named_s.any():
             heir = s + 1 + named_s.argmax(axis=1)
             later = np.where(named_s, heir[:, None].astype(_LABEL_DTYPE), later)
+            alone &= ~named_s.any(axis=1)
+        completed = completed + alone  # an int array from the first slot on
         labels = np.concatenate((labels[:, :s], later - (later > s)), axis=1)
-    return labels
+    return labels, completed
 
 
 @lru_cache(maxsize=None)
@@ -248,12 +254,11 @@ def _key_layout(width: int) -> tuple[tuple[int, int, np.ndarray], ...]:
     """Slots [start, stop) of each key word and the place value of each slot.
 
     Slot j of a first-slot row holds a name of at most j, a digit of radix
-    j + 1; the rank is the lowest digit of word 0, radix _RANK_RADIX.  A word
-    takes digits while the product of their radices stays at most 2^63, so it
-    is below 2^63 (one word holds 18 slots).
+    j + 1.  A word takes digits while the product of their radices stays at
+    most 2^63, so it is below 2^63 (one word holds 20 slots).
     """
     words = []
-    start, place, places = 0, _RANK_RADIX, []
+    start, place, places = 0, 1, []
     for j in range(width):
         if place * (j + 1) > _WORD_LIMIT:
             words.append((start, j, np.array(places, dtype=np.int64)))
@@ -264,11 +269,9 @@ def _key_layout(width: int) -> tuple[tuple[int, int, np.ndarray], ...]:
     return tuple(words)
 
 
-def _state_keys(labels: np.ndarray, rank: np.ndarray) -> list[np.ndarray]:
-    """Mixed-radix int64 words, equal for two rows exactly when (labels, rank) is."""
-    keys = [labels[:, start:stop] @ places for start, stop, places in _key_layout(labels.shape[1])]
-    keys[0] += rank
-    return keys
+def _state_keys(labels: np.ndarray) -> list[np.ndarray]:
+    """Mixed-radix int64 words, equal for two rows exactly when their labels are."""
+    return [labels[:, start:stop] @ places for start, stop, places in _key_layout(labels.shape[1])]
 
 
 def _sweep_edge_order(g: Graph) -> list[int]:
@@ -300,33 +303,31 @@ def _sweep_edge_order(g: Graph) -> list[int]:
     )
 
 
-# Each state's counts are packed into one big int, 64 bits per nullity.  Digit
-# nu of a rank-r state counts (r + nu)-edge subsets of the edges swept so far,
-# so it is at most C(m, r + nu) <= C(63, 31) < 2^63 within graphs.MAX_EDGES: no
-# digit carries.
+# A digit of the packed counts: at most C(63, 31) < 2^63 within
+# graphs.MAX_EDGES, so no digit carries (the module docstring has the proof).
 _DIGIT_BITS = 64
-_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 
 
 def _combine_counts(
-    vec: np.ndarray, joins: np.ndarray, order: np.ndarray, starts: np.ndarray
+    vec: np.ndarray, joins: np.ndarray, shifts: np.ndarray | None, order: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
     """One step's count arithmetic: the packed counts of the merged children.
 
-    The counts are packed by nullity.  Every state has a skip child in its own
-    row.  Where the edge joins two blocks (``joins``) the take child gains one
-    edge and one rank, so its nullity and its int are the parent's; it follows
-    after all skip children.  Elsewhere the taken edge closes a cycle and adds
-    one to the nullity: both children are one state, counted in place as the
-    int plus the int shifted one digit.  A digit nu of a rank-r child counts
-    (r + nu)-edge subsets, at most C(63, 31) < 2^63, so no sum carries.
-    ``order`` sorts the children by key and ``starts`` opens each run of equal
-    keys.  ``vec`` itself is updated in place.
+    Every state has a skip child in its own row.  Where the edge joins two
+    blocks (``joins``) the take child keeps the parent's int and follows after
+    all skip children.  Elsewhere the taken edge closes a cycle: both children
+    are one state, counted in place as the int plus the int shifted one digit.
+    Children then shift by their ``shifts`` bits (None: none shifts), one slot
+    per block completed.  ``order`` sorts the children by key and ``starts``
+    opens each run of equal keys.  ``vec`` itself is updated in place.
     """
     closes = ~joins
     loops = vec[closes]
     vec[closes] = loops + (loops << _DIGIT_BITS)
     children = np.concatenate((vec, vec[joins]))
+    if shifts is not None:
+        moved = np.flatnonzero(shifts)
+        children[moved] = children[moved] << shifts[moved].astype(object)
     return np.add.reduceat(children[order], starts)
 
 
@@ -409,13 +410,13 @@ def _star_factor(ties: list[int], loops: list[int], slot: int) -> list[int]:
 
 
 def _finish_stars(
-    labels: np.ndarray, rank: np.ndarray, vec: np.ndarray, ties: list[int], loops: list[int], slot: int
-) -> list[int]:
-    """The packed counts of each final rank, from the states before the stars.
-
-    ``ties`` holds the packed ties of each active slot and then of each
-    vertex first seen in the stars, ``loops`` is ``_star_loops``' for the
-    edges among the stars, and ``slot`` the bits of a z slot.
+    labels: np.ndarray, vec: np.ndarray, ties: list[int], loops: list[int], slot: int, bits: int
+) -> int:
+    """The final counts from the states before the stars: slot q of ``bits``
+    bits holds rank top - q by nullity, top the vertices seen, stars included,
+    less one.  ``ties`` holds the packed ties of each active slot and then of
+    each vertex first seen in the stars, ``loops`` is ``_star_loops``' for
+    the edges among the stars, and ``slot`` the bits of a z slot.
     """
     rows, width = labels.shape
     blocks, every_row = np.zeros((rows, width), dtype=np.int64), np.arange(rows)
@@ -423,19 +424,21 @@ def _finish_stars(
         # slot s adds its ties to its block, named by the block's first slot
         blocks[every_row, labels[:, s]] += tie
     blocks.sort()
-    order, starts = _runs([*blocks.T, rank])
+    heads = (labels == np.arange(width)).sum(axis=1)
+    order, starts = _runs([*blocks.T, heads])
     kept = order[starts]
     sums = np.add.reduceat(vec[order], starts)
     fresh = tuple(ties[width:])
     factors: dict[tuple[int, ...], list[int]] = {}  # one G per distinct row, in this call only
-    # a block or a star adds at most one rank
-    final = [0] * (int(rank.max()) + len(ties) + _STARS + 1)
-    for row, low, packed in zip(map(tuple, blocks[kept].tolist()), rank[kept].tolist(), sums):
+    # slot c of a b-block state's int gaining k ranks: rank top - (base - k) - c
+    final = [0] * (len(ties) + _STARS)
+    for row, b, packed in zip(map(tuple, blocks[kept].tolist()), heads[kept].tolist(), sums):
         if row not in factors:
             factors[row] = _star_factor([tie for tie in row + fresh if tie], loops, slot)
-        for r, f in enumerate(factors[row], start=low):
-            final[r] += packed * f
-    return final
+        base = b + len(fresh) + _STARS - 1
+        for k, f in enumerate(factors[row]):
+            final[base - k] += packed * f
+    return sum(packed << bits * q for q, packed in enumerate(final))
 
 
 def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
@@ -454,11 +457,11 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
         stars.append(max(g.edges[edge_order[stop - 1]], key=first_step.__getitem__))
         stop = first_step[stars[-1]]
 
+    digits = g.m - edge_rank(g) + 1  # D: no subset has more nullity than g
     active: list[int] = []
-    # One state per row: block labels aligned with `active`, the rank, and
-    # the packed counts.
+    retired = 0
+    # One state per row: block labels aligned with `active`, and the packed counts.
     labels = np.zeros((1, 0), dtype=_LABEL_DTYPE)
-    rank = np.zeros(1, dtype=_LABEL_DTYPE)
     vec = np.array([1], dtype=object)
 
     for step, e in steps[:stop]:
@@ -474,25 +477,26 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
         lu, lv = labels[:, su], labels[:, sv]
         joins = lu != lv
         children = np.concatenate((labels, _merge_rows(labels[joins], lu[joins], lv[joins])))
-        # a taken edge that joins two blocks is one more forest edge
-        child_rank = np.concatenate((rank, rank[joins] + 1))
+        shifts = None
         drops = [s for s, w in ((su, u), (sv, v)) if last_step[w] == step]
         if drops:
-            children = _retire_rows(children, drops)
+            children, completed = _retire_rows(children, drops)
+            shifts = completed * (_DIGIT_BITS * digits) if completed.any() else None
             active = [w for w in active if last_step[w] != step]
+            retired += len(drops)
 
-        order, starts = _runs(_state_keys(children, child_rank))
-        # The distinct states are known before any count is added, so a
-        # refused step does none of its big-int arithmetic.
-        if len(starts) > MAX_FRONTIER_STATES:
+        order, starts = _runs(_state_keys(children))
+        # The distinct states and the widest int are known before any count
+        # is added, so a refused step does none of its big-int arithmetic.
+        need = len(starts) * (retired + 1) * digits * _DIGIT_BITS // 8
+        if need > MAX_FRONTIER_BYTES:
             raise FrontierOverflowError(
-                f"exact enumeration needs more than its budget of {MAX_FRONTIER_STATES} "
-                f"partition states (reached at edge {step + 1}/{g.m}); use a graph with "
-                "fewer edges, or a Monte Carlo estimate (`mstlength simulate --cap 0`)"
+                f"exact enumeration needs more than its budget of {MAX_FRONTIER_BYTES} bytes "
+                f"({len(starts)} partition states need {need} bytes at edge {step + 1}/{g.m}); "
+                "use a graph with fewer edges, or a Monte Carlo estimate (`mstlength simulate --cap 0`)"
             )
-        vec = _combine_counts(vec, joins, order, starts)
-        kept = order[starts]
-        labels, rank = children[kept], child_rank[kept]
+        vec = _combine_counts(vec, joins, shifts, order, starts)
+        labels = children[order[starts]]
 
     # Every edge left joins a star to an active vertex, to a vertex first seen
     # in the stars, or to another star.
@@ -504,23 +508,19 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
     # A subset of the stars' edges has at most g.m - stop edges, so a z slot
     # of g.m - stop + 1 digits holds its w-polynomial.
     slot = _DIGIT_BITS * (g.m - stop + 1)
-    counts: dict[tuple[int, int], int] = {}
-    for r, packed in enumerate(_finish_stars(labels, rank, vec, ties, _star_loops(links), slot)):
-        nullity = 0
-        while packed:
-            digit = packed & _DIGIT_MASK
-            if digit:
-                counts[(r + nullity, r)] = digit
-            packed >>= _DIGIT_BITS
-            nullity += 1
-    return counts
+    top = len(active) + retired + len(first_seen) + _STARS - 1
+    packed = _finish_stars(labels, vec, ties, _star_loops(links), slot, _DIGIT_BITS * digits)
+    size = -(-packed.bit_length() // _DIGIT_BITS)
+    words = np.frombuffer(packed.to_bytes(size * 8, "little"), "<u8").tolist()
+    cells = (divmod(i, digits) + (d,) for i, d in enumerate(words) if d)
+    return {(top - q + nullity, top - q): d for q, nullity, d in cells}
 
 
 def build_rank_table(g: Graph) -> RankTable:
     """Count spanning subgraphs of g by (edge count, rank) over all 2^m subsets.
 
     A forest's table is closed-form; any other graph runs the partition sweep,
-    which is refused if its frontier outgrows ``MAX_FRONTIER_STATES``.  The
+    which is refused if a step outgrows ``MAX_FRONTIER_BYTES``.  The
     table is validated before it is returned, and its full edge set must have
     the rank that union-find gives g's edges (n - 1 for a connected graph).  A
     table that fails either check is a bug in the sweep, raised as

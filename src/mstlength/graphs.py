@@ -7,6 +7,7 @@ table sweep's 64-bit digit packing is proven carry-free (``_DIGIT_BITS`` in
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -199,16 +200,48 @@ def path_graph(n: int) -> Graph:
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertices numbered row by row: the edges along the
+    rows, row by row, then those down the columns."""
+    if rows < 1 or cols < 1:
+        raise GraphConstructionError(f"grid sides must be >= 1, got {rows}, {cols}")
+    _check_edge_count(rows * (cols - 1) + (rows - 1) * cols)
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, tuple(edges))
+
+
+def gnm_graph(n: int, m: int, seed: int) -> Graph:
+    """G(n, m): m distinct vertex pairs drawn with ``random.Random(seed)``, sorted.
+
+    Each draw is two distinct vertices; a pair drawn before is drawn again.
+    """
+    if n < 1 or m < 0:
+        raise GraphConstructionError(f"G(n, m) needs n >= 1 and m >= 0, got {n}, {m}")
+    _check_edge_count(m)
+    if m > n * (n - 1) // 2:
+        raise GraphConstructionError(f"{n} vertices have fewer than {m} distinct pairs")
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph(n, tuple(sorted(edges)))
+
+
 GENERATORS = {
     "complete": (complete_graph, 1),
     "bipartite": (bipartite_graph, 2),
     "cycle": (cycle_graph, 1),
     "path": (path_graph, 1),
+    "grid": (grid_graph, 2),
+    "gnm": (gnm_graph, 3),
 }
 
 
 def generate(kind: str, *params: int) -> Graph:
-    """Build a named graph family member: complete n | bipartite a b | cycle n | path n."""
+    """Build a named graph family member: complete n | bipartite a b | cycle n |
+    path n | grid rows cols | gnm n m seed."""
     if kind not in GENERATORS:
         raise GraphConstructionError(
             f"unknown generator {kind!r}; expected one of {sorted(GENERATORS)}"

@@ -299,6 +299,40 @@ def retire_labels(labels: tuple[int, ...], keep: list[int]) -> tuple[int, ...]:
     return canonical_labels(tuple(labels[i] for i in keep))
 
 
+def completed_blocks(labels: tuple[int, ...], drops: list[int]) -> int:
+    """How many blocks of a partition lie wholly inside the slots ``drops``."""
+    return sum(all(s in drops for s, lab in enumerate(labels) if lab == b) for b in set(labels))
+
+
+def completion_cells_by_subsets(g: Graph, retired: frozenset[int]) -> dict[tuple[int, int], int]:
+    """{(c, nullity): count} over all 2^m edge subsets of g, c counting the
+    components, on the vertices g's edges touch, whose every vertex is in
+    ``retired``.  Each subset gets a fresh union-find.
+    """
+    touched = {w for e in g.edges for w in e}
+    cells: dict[tuple[int, int], int] = {}
+    for mask in range(1 << g.m):
+        parent = list(range(g.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        rank = 0
+        for idx, (u, v) in enumerate(g.edges):
+            if mask >> idx & 1 and find(u) != find(v):
+                parent[find(u)] = find(v)
+                rank += 1
+        members: dict[int, list[int]] = {}
+        for w in touched:
+            members.setdefault(find(w), []).append(w)
+        c = sum(all(w in retired for w in ws) for ws in members.values())
+        key = (c, mask.bit_count() - rank)
+        cells[key] = cells.get(key, 0) + 1
+    return cells
+
+
 def hyperbola_verdicts_by_fractions(table, t: Fraction) -> tuple[bool, bool, bool]:
     """The closed-form, partial-form and ratio verdicts of the Tutte checks at t.
 

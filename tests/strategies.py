@@ -5,7 +5,7 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 
-from mstlength.graphs import Graph
+from mstlength.graphs import Graph, generate
 
 
 @st.composite
@@ -69,9 +69,7 @@ def forests(draw, max_n: int = 12) -> Graph:
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """The rows x cols grid, vertices numbered row by row."""
-    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return Graph(rows * cols, tuple(edges))
+    return generate("grid", rows, cols)
 
 
 unit_interval_rationals = st.fractions(

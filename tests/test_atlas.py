@@ -25,6 +25,7 @@ from .oracles import (
     rank_counts_by_subsets,
     tutte_special_values,
 )
+from .test_enumeration import assert_slots_hold
 
 nx = pytest.importorskip("networkx")
 
@@ -60,6 +61,13 @@ def test_rank_table_matches_the_subset_oracle_up_to_10_edges():
     assert len(small) == 475
     for g in small:
         assert build_rank_table(g).counts == rank_counts_by_subsets(g), g.edges
+
+
+def test_sweep_slots_hold_on_every_connected_graph(monkeypatch):
+    # the slot proof's bounds at every step and in the finish; with the
+    # subset oracle's (completed, nullity) cells up to 8 edges
+    for g in connected_atlas():
+        assert_slots_hold(monkeypatch, g, exact=g.m <= 8)
 
 
 def test_tutte_matches_its_special_values_on_every_connected_graph():

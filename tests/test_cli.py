@@ -79,11 +79,12 @@ def test_cap_refusal_exit_code(capsys):
 
 
 def test_frontier_overflow_is_cap_refusal(capsys, monkeypatch):
-    # K_6 peaks at the 5 partitions of its first three vertices
-    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", 4)
+    # K_6 peaks at the 5 partitions of its first three vertices, none
+    # retired, each an int of at most D = 11 digits: 5 * 11 * 8 = 440 bytes
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_BYTES", 439)
     code, out, err = run_cli(capsys, "compute", "--gen", "complete", "6")
     assert code == 3 and out == ""
-    assert "budget of 4 partition states" in err and "simulate --cap 0" in err
+    assert "budget of 439 bytes (5 partition states need 440 bytes" in err and "simulate --cap 0" in err
     assert "method=" not in err
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 import hypothesis.strategies as st
 
 from mstlength import enumeration, expectation
@@ -12,7 +12,6 @@ from mstlength.coefficients import all_routes, route_failures
 from mstlength.enumeration import (
     _DIGIT_BITS,
     _LABEL_DTYPE,
-    _RANK_RADIX,
     RankTable,
     build_rank_table,
     check_hyperbola_identities,
@@ -40,6 +39,8 @@ from mstlength.graphs import (
 
 from .oracles import (
     canonical_labels,
+    completed_blocks,
+    completion_cells_by_subsets,
     hyperbola_verdicts_by_fractions,
     merge_labels,
     rank_counts_by_subsets,
@@ -220,10 +221,12 @@ def _assert_first_slot_form(rows: np.ndarray) -> None:
 
 
 def _assert_retire_matches_oracle(rows: list[tuple[int, ...]], drops: list[int]) -> None:
-    kept = _retire_rows(_stack(rows), drops)
+    kept, completed = _retire_rows(_stack(rows), drops)
     keep = [i for i in range(len(rows[0])) if i not in drops]
     _assert_first_slot_form(kept)
     assert [tuple(k) for k in kept.tolist()] == [retire_labels(r, keep) for r in rows]
+    # no drop completes no block
+    assert (np.zeros(len(rows), dtype=int) + completed).tolist() == [completed_blocks(r, drops) for r in rows]
 
 
 @settings(max_examples=200, deadline=None)
@@ -271,22 +274,76 @@ def test_retire_moves_first_slots(rows, drops):
     _assert_retire_matches_oracle(rows, drops)
 
 
+@pytest.mark.parametrize("width", range(1, 7))
+def test_retire_counts_the_blocks_it_completes(width):
+    # every partition of up to 6 slots, each slot dropped alone and every
+    # ordered pair in one step: two drops in one block, where the higher slot
+    # names the lower one, complete that block once
+    rows = _all_first_slot_rows(width)
+    singles = [[s] for s in range(width)]
+    pairs = [[a, b] for a in range(width) for b in range(width) if a != b]
+    for drops in singles + pairs:
+        _assert_retire_matches_oracle(rows, drops)
+    assert width == 1 or any(completed_blocks(r, [0, 1]) for r in rows if r[1] == 0)
+
+
+def _recorded_sweep(monkeypatch, g: Graph) -> tuple[dict, list[list[int]], int]:
+    """The table, each step's packed counts and the finish's int, read through hooks."""
+    steps, finals = [], []
+    combine, finish = enumeration._combine_counts, enumeration._finish_stars
+
+    def recording_combine(*args):
+        merged = combine(*args)
+        steps.append(merged.tolist())  # the next step updates ``merged`` in place
+        return merged
+
+    def recording_finish(*args):
+        finals.append(finish(*args))
+        return finals[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_combine_counts", recording_combine)
+        patch.setattr(enumeration, "_finish_stars", recording_finish)
+        counts = _frontier_counts(g)
+    (final,) = finals
+    return counts, steps, final
+
+
+def _retired_after_each_step(g: Graph) -> list[frozenset[int]]:
+    """The vertices whose last edge in the sweep order is swept, after each step."""
+    last = {w: i for i, e in enumerate(enumeration._sweep_edge_order(g)) for w in g.edges[e]}
+    return [frozenset(w for w, s in last.items() if s <= i) for i in range(g.m)]
+
+
+def _budget_demands(monkeypatch, g: Graph) -> tuple[list[int], list[int]]:
+    """Each step's distinct states and its byte estimate: the states times
+    (vertices retired + 1) times D = nullity(g) + 1 digits of 8 bytes."""
+    _, steps, _ = _recorded_sweep(monkeypatch, g)
+    digits = g.m - edge_rank(g) + 1
+    states = [len(step) for step in steps]
+    return states, [k * (len(r) + 1) * digits * 8 for k, r in zip(states, _retired_after_each_step(g))]
+
+
 def test_budget_refusal_stops_inside_the_step(monkeypatch):
     merged = []
     combine = enumeration._combine_counts
 
-    def recording_combine(vec, joins, order, starts):
-        merged.append(len(starts))
-        return combine(vec, joins, order, starts)
+    def recording_combine(*args):
+        merged.append(combine(*args))
+        return merged[-1]
 
     monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
     # K_7's edges 7-21 are the stars of the last three vertices, which take no
-    # step; step 6 reaches all 15 partitions of the other four vertices
-    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", 14)
-    with pytest.raises(FrontierOverflowError, match=r"budget of 14 partition states \(reached at edge 6/21\)"):
+    # step; step 6 reaches all 15 partitions of the other four vertices, none
+    # retired, each an int of at most D = 16 digits: 15 * 16 * 8 = 1920 bytes
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_BYTES", 1919)
+    with pytest.raises(
+        FrontierOverflowError,
+        match=r"budget of 1919 bytes \(15 partition states need 1920 bytes at edge 6/21\)",
+    ):
         _frontier_counts(complete_graph(7))
     # steps 1-5 added their counts; the refusing step 6 added none
-    assert len(merged) == 5 and max(merged) <= 14
+    assert len(merged) == 5 and max(map(len, merged)) * 16 * 8 <= 1919
 
 
 @pytest.mark.parametrize(
@@ -294,21 +351,24 @@ def test_budget_refusal_stops_inside_the_step(monkeypatch):
     [
         (complete_graph(8), 52),
         (complete_graph(9), 203),
-        (grid_graph(5, 5), 463),
-        (cycle_graph(20), 17),
+        # (partition, rank) keys held 463, 17 and 96 states
+        (grid_graph(5, 5), 42),
+        (cycle_graph(20), 2),
         # rooted on the 6-vertex side, of degree 4; the 4-vertex side gave 1232
-        (bipartite_graph(4, 6), 96),
+        (bipartite_graph(4, 6), 47),
     ],
     ids=["K8", "K9", "grid5x5", "C20", "K4_6"],
 )
 def test_peak_states_are_pinned(monkeypatch, g, peak):
-    # a sweep holds each partition state once: its peak is the budget it needs
-    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak)
+    # a sweep holds each partition once; its widest step is the budget it needs
+    states, demands = _budget_demands(monkeypatch, g)
+    assert max(states) == peak
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_BYTES", max(demands))
     assert RankTable(g.n, g.m, _frontier_counts(g)).spanning_tree_count() == (
         spanning_tree_count_kirchhoff(g)
     )
-    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak - 1)
-    with pytest.raises(FrontierOverflowError, match=f"budget of {peak - 1} "):
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_BYTES", max(demands) - 1)
+    with pytest.raises(FrontierOverflowError, match=f"budget of {max(demands) - 1} bytes "):
         _frontier_counts(g)
 
 
@@ -324,16 +384,20 @@ def _bell(n: int) -> int:
 def test_complete_graph_peaks_at_bell_states(monkeypatch, n):
     # The stars of K_n's last three vertices take no step, so the widest
     # frontier is every partition of the other n - 3 vertices, as many as
-    # Bell(n - 3).
-    peak = _bell(n - 3)
-    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak)
-    assert _frontier_counts(complete_graph(n))[(n - 1, n - 1)] == n ** (n - 2)
-    monkeypatch.setattr(enumeration, "MAX_FRONTIER_STATES", peak - 1)
+    # Bell(n - 3), and no vertex retires before the stars.
+    states, demands = _budget_demands(monkeypatch, complete_graph(n))
     if n == 4:
         # K_4's edges are all stars: no step checks the budget, not even 0
+        assert states == []
+        monkeypatch.setattr(enumeration, "MAX_FRONTIER_BYTES", 0)
         assert _frontier_counts(complete_graph(n))[(n - 1, n - 1)] == n ** (n - 2)
         return
-    with pytest.raises(FrontierOverflowError, match=f"budget of {peak - 1} "):
+    assert max(states) == _bell(n - 3)
+    assert max(demands) == _bell(n - 3) * (binomial(n, 2) - n + 2) * 8
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_BYTES", max(demands))
+    assert _frontier_counts(complete_graph(n))[(n - 1, n - 1)] == n ** (n - 2)
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_BYTES", max(demands) - 1)
+    with pytest.raises(FrontierOverflowError, match=f"budget of {max(demands) - 1} bytes "):
         _frontier_counts(complete_graph(n))
 
 
@@ -343,21 +407,15 @@ def test_complete_graph_peaks_at_bell_states(monkeypatch, n):
     ids=["P19", "C20", "K9", "grid5x5"],
 )
 def test_counts_are_packed_by_nullity(monkeypatch, g, stars):
-    # A connected graph's subsets have nullity 0..m - n + 1, one digit each: a
-    # tree's counts fit one digit and a cycle's two, whatever the edge count.
-    widest = []
-    combine = enumeration._combine_counts
-
-    def recording_combine(vec, joins, order, starts):
-        merged = combine(vec, joins, order, starts)
-        widest.append(max(count.bit_length() for count in merged))
-        return merged
-
-    monkeypatch.setattr(enumeration, "_combine_counts", recording_combine)
-    counts = _frontier_counts(g)
+    # A connected graph's subsets have nullity 0..m - n + 1, D = m - n + 2
+    # digits a slot, and one slot per completed component: after r vertices
+    # retire an int holds at most (r + 1) D digits, the budget's estimate (a
+    # tree's D is 1 and a cycle's 2, whatever the edge count).
+    counts, steps, _ = _recorded_sweep(monkeypatch, g)
     # one step per edge up to the stars of the last three vertices, `stars` edges
-    assert len(widest) == g.m - stars
-    assert max(widest) <= _DIGIT_BITS * (g.m - g.n + 2)
+    assert len(steps) == g.m - stars
+    for step, retired in zip(steps, _retired_after_each_step(g)):
+        assert max(count.bit_length() for count in step) <= _DIGIT_BITS * (g.m - g.n + 2) * (len(retired) + 1)
     assert counts[(g.m, g.n - 1)] == 1
 
 
@@ -543,28 +601,67 @@ def test_finish_matches_the_subset_oracle(g):
     assert _frontier_counts(g) == rank_counts_by_subsets(g)
 
 
+def _slot_digits(packed: int, digits: int) -> dict[tuple[int, int], int]:
+    """The nonzero 64-bit digits of ``packed`` by (slot, digit in the slot),
+    in slots of ``digits`` digits; each digit is checked to be below 2^63."""
+    size = -(-packed.bit_length() // _DIGIT_BITS)
+    words = np.frombuffer(packed.to_bytes(size * 8, "little"), dtype="<u8")
+    assert (words < 1 << (_DIGIT_BITS - 1)).all()
+    return {divmod(int(i), digits): int(words[i]) for i in np.flatnonzero(words)}
+
+
+def assert_slots_hold(monkeypatch, g: Graph, exact: bool = False) -> None:
+    """The slot proof, checked on g's sweep.
+
+    After step i every state's int decodes to slots of D = nullity(g) + 1
+    digits, one per completed component c up to the r vertices retired, and
+    every digit is below 2^63.  Over the states the digits add up to the
+    2^(i+1) subsets swept, so none carried, and a digit's nullity is at most
+    the swept edges'.  With ``exact`` the digits of each (c, nullity) cell,
+    summed over the states, are those of the subset oracle.  The finish's
+    one int decodes, slot q holding rank top - q, to the table.
+    """
+    counts, steps, final = _recorded_sweep(monkeypatch, g)
+    digits = g.m - edge_rank(g) + 1
+    order = enumeration._sweep_edge_order(g)
+    for i, (step, retired) in enumerate(zip(steps, _retired_after_each_step(g))):
+        swept = Graph(g.n, tuple(g.edges[e] for e in order[: i + 1]))
+        cells: dict[tuple[int, int], int] = {}
+        for packed in step:
+            assert packed.bit_length() <= _DIGIT_BITS * digits * (len(retired) + 1)
+            for cell, d in _slot_digits(packed, digits).items():
+                cells[cell] = cells.get(cell, 0) + d
+        assert sum(cells.values()) == 1 << (i + 1)
+        assert all(c <= len(retired) and nu <= swept.m - edge_rank(swept) for c, nu in cells)
+        if exact:
+            assert cells == completion_cells_by_subsets(swept, retired), i
+    finish = _slot_digits(final, digits)
+    top = max(r for _, r in counts) + min(q for q, _ in finish)
+    assert {(top - q + nu, top - q): d for (q, nu), d in finish.items()} == counts
+    assert sum(counts.values()) == 1 << g.m
+
+
 @pytest.mark.parametrize("g", [complete_graph(9), grid_graph(5, 5)], ids=["K9", "grid5x5"])
 def test_finish_digits_do_not_carry(monkeypatch, g):
-    finals = []
-    finish = enumeration._finish_stars
+    assert_slots_hold(monkeypatch, g)
 
-    def recording_finish(*args):
-        finals.append(finish(*args))
-        return finals[-1]
 
-    monkeypatch.setattr(enumeration, "_finish_stars", recording_finish)
-    counts = _frontier_counts(g)
-    (final,) = finals  # the packed counts of each final rank
-    digits = {
-        (r + j, r): packed >> (_DIGIT_BITS * j) & ((1 << _DIGIT_BITS) - 1)
-        for r, packed in enumerate(final)
-        for j in range(g.m - r + 1)
-    }
-    assert all(digit < 1 << (_DIGIT_BITS - 1) for digit in digits.values())
-    # the digits are the table: none spilled into its neighbour
-    assert {cell: c for cell, c in digits.items() if c} == counts
-    assert all(packed >> (_DIGIT_BITS * (g.m - r + 1)) == 0 for r, packed in enumerate(final))
-    assert sum(counts.values()) == 1 << g.m
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(8), complete_graph(10), bipartite_graph(4, 6), cycle_graph(20), path_graph(19)],
+    ids=["K8", "K10", "K4_6", "C20", "P19"],
+)
+def test_sweep_slots_hold_on_the_corpus(monkeypatch, g):
+    assert_slots_hold(monkeypatch, g)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graphs(max_n=7, max_m=10))
+@example(Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4))))
+@example(grid_graph(2, 4))
+def test_sweep_slots_match_the_subset_oracle(monkeypatch, g):
+    # disconnected graphs as well: D counts g's own nullity
+    assert_slots_hold(monkeypatch, g, exact=True)
 
 
 # a 20-vertex spine with 21 legs: a 40-edge tree
@@ -611,20 +708,17 @@ def test_trees_take_no_sweep_step(monkeypatch, g):
 
 def test_key_words_hold_to_the_edge_limit():
     # A Graph's edges touch at most 2 * MAX_EDGES vertices: that bounds the
-    # frontier width and every label (below the width); the rank, a count of
-    # forest edges, is at most MAX_EDGES.
+    # frontier width and every label (below the width).
     vertices = 2 * MAX_EDGES
-    assert vertices <= np.iinfo(_LABEL_DTYPE).max and vertices < _RANK_RADIX
+    assert vertices <= np.iinfo(_LABEL_DTYPE).max
     for width in range(vertices + 1):
         layout = _key_layout(width)
         assert [j for start, stop, _ in layout for j in range(start, stop)] == list(range(width))
         for start, stop, places in layout:
-            # slot j holds at most j; the rank leads word 0
+            # slot j holds at most j
             top = sum(j * int(p) for j, p in zip(range(start, stop), places))
-            if start == 0:
-                top += _RANK_RADIX - 1
             assert top < 1 << 63
-    assert len(_key_layout(18)) == 1 and len(_key_layout(19)) == 2
+    assert len(_key_layout(20)) == 1 and len(_key_layout(21)) == 2
 
 
 def _all_first_slot_rows(width: int) -> list[tuple[int, ...]]:
@@ -635,20 +729,17 @@ def _all_first_slot_rows(width: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _key_words(states: list[tuple[tuple[int, ...], int]]) -> list[tuple[int, ...]]:
+def _key_words(states: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Each state's key words, checked to be int64 and nonnegative."""
-    keys = _state_keys(
-        _stack([labels for labels, _ in states]),
-        np.array([rank for _, rank in states], dtype=_LABEL_DTYPE),
-    )
-    assert len(keys) == len(_key_layout(len(states[0][0])))
+    keys = _state_keys(_stack(states))
+    assert len(keys) == len(_key_layout(len(states[0])))
     assert all(key.dtype == np.int64 and (key >= 0).all() for key in keys)
     return list(zip(*(key.tolist() for key in keys)))
 
 
 @pytest.mark.parametrize("width", range(8))
 def test_state_keys_tell_every_small_state_apart(width):
-    states = [(r, d) for r in _all_first_slot_rows(width) for d in (0, 1, 62, _RANK_RADIX - 1)]
+    states = _all_first_slot_rows(width)
     assert len(set(_key_words(states))) == len(states)
 
 
@@ -656,17 +747,15 @@ def test_state_keys_tell_every_small_state_apart(width):
 @given(st.data())
 def test_state_keys_are_equal_exactly_for_equal_states(data):
     width = data.draw(st.integers(1, 40))
-    rows = data.draw(_first_slot_rows(st.just(width), max_rows=4))
-    states = [(r, data.draw(st.integers(0, 63))) for r in rows]
-    # near-misses: one slot or the rank changed, and exact copies
-    for labels, rank in list(states):
+    states = data.draw(_first_slot_rows(st.just(width), max_rows=4))
+    # near-misses: one slot changed, and exact copies
+    for labels in list(states):
         j = data.draw(st.integers(0, width - 1))
         bumped = labels[:j] + (data.draw(st.integers(0, j)),) + labels[j + 1 :]
-        states.append((canonical_labels(bumped), rank))
-        states.append((labels, data.draw(st.integers(0, 63))))
-        states.append((labels, rank))
+        states.append(canonical_labels(bumped))
+        states.append(labels)
     # the all-singleton row has the largest digit in every slot
-    states.append((tuple(range(width)), 63))
+    states.append(tuple(range(width)))
     words = _key_words(states)
     for a, word_a in zip(states, words):
         for b, word_b in zip(states, words):

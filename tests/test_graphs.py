@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -12,6 +13,8 @@ from mstlength.graphs import (
     cycle_graph,
     format_graph,
     generate,
+    gnm_graph,
+    grid_graph,
     is_connected,
     parse_graph,
     path_graph,
@@ -110,14 +113,48 @@ def test_generator_errors():
 
 
 @pytest.mark.parametrize(
+    "kind, params, n, m, digest",
+    [
+        ("grid", (1, 1), 1, 0, "2e38e77b22c314a4"),
+        ("grid", (2, 3), 6, 7, "f2ca53bec6ceb75e"),
+        ("grid", (5, 5), 25, 40, "430c9eb99549c95c"),
+        ("grid", (6, 6), 36, 60, "822d84d722297f52"),
+        ("gnm", (7, 10, 0), 7, 10, "db8635d932154223"),
+        ("gnm", (16, 63, 1), 16, 63, "cb8cf0f85f23d046"),
+        ("gnm", (30, 63, 1), 30, 63, "9031b61130771551"),
+        ("gnm", (40, 63, 2), 40, 63, "0dea3a32daffcf91"),
+    ],
+)
+def test_generated_edge_lists_are_pinned(kind, params, n, m, digest):
+    # the measurement graphs cannot drift: each edge list is pinned by hash
+    g = generate(kind, *params)
+    assert (g.n, g.m) == (n, m)
+    assert hashlib.sha256(repr(g.edges).encode()).hexdigest()[:16] == digest
+
+
+def test_grid_and_gnm_generators():
+    # the row edges, row by row, then the column edges
+    assert grid_graph(2, 3).edges == ((0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5))
+    g = gnm_graph(5, 4, 0)
+    assert g.edges == ((0, 2), (1, 4), (2, 3), (3, 4)) and g == generate("gnm", 5, 4, 0)
+    assert gnm_graph(12, 63, 3).m == 63 and gnm_graph(4, 6, 9) == complete_graph(4)
+    assert gnm_graph(1, 0, 5) == Graph(1)
+    for build in (lambda: grid_graph(0, 3), lambda: gnm_graph(5, 11, 0), lambda: gnm_graph(5, -1, 0)):
+        with pytest.raises(GraphConstructionError):
+            build()
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: complete_graph(10**6),
         lambda: bipartite_graph(10**5, 10**5),
         lambda: cycle_graph(10**9),
         lambda: path_graph(10**9),
+        lambda: grid_graph(10**5, 10**5),
+        lambda: gnm_graph(10**9, 64, 1),
     ],
-    ids=["complete", "bipartite", "cycle", "path"],
+    ids=["complete", "bipartite", "cycle", "path", "grid", "gnm"],
 )
 def test_generators_refuse_before_building_edges(build):
     started = time.monotonic()

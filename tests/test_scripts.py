@@ -1,5 +1,6 @@
 """Smoke tests for the experiment scripts and the README's examples."""
 
+import importlib.util
 import io
 import json
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from mstlength import enumeration
 from mstlength.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -33,6 +35,33 @@ def test_script_runs(tmp_path, argv, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert expected in [" ".join(line.split()) for line in proc.stdout.splitlines()]
+
+
+def test_limits_table_runs_each_graph_in_its_own_process(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "limits_table.py"), "grid 3 3", "complete-minus-matching 6 1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:3] == ["graph", "m", "result"]
+    # graph, m, result and peak states; the time and the peak RSS vary
+    assert [row.split()[:-3] for row in rows] == [
+        ["grid", "3", "3", "12", "computes", "5"],
+        ["complete-minus-matching", "6", "1", "14", "computes", "5"],
+    ]
+
+
+def test_limits_table_reports_the_refusing_edge(monkeypatch):
+    spec = importlib.util.spec_from_file_location("limits_table", SCRIPTS / "limits_table.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(enumeration, "MAX_FRONTIER_BYTES", 0)
+    monkeypatch.setattr(enumeration, "_combine_counts", enumeration._combine_counts)
+    row = script.measure("grid 3 3")
+    assert (row["m"], row["result"], row["peak"]) == (12, "refused at edge 1", 0)
 
 
 def test_readme_library_example_runs():
