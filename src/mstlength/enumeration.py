@@ -519,8 +519,9 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
 def build_rank_table(g: Graph) -> RankTable:
     """Count spanning subgraphs of g by (edge count, rank) over all 2^m subsets.
 
-    A forest's table is closed-form; any other graph runs the partition sweep,
-    which is refused if a step outgrows ``MAX_FRONTIER_BYTES``.  The
+    A forest's table and a lone cycle's are closed-form; any other graph runs
+    the partition sweep, which is refused if a step outgrows
+    ``MAX_FRONTIER_BYTES``.  The
     table is validated before it is returned, and its full edge set must have
     the rank that union-find gives g's edges (n - 1 for a connected graph).  A
     table that fails either check is a bug in the sweep, raised as
@@ -530,6 +531,10 @@ def build_rank_table(g: Graph) -> RankTable:
     if rank == g.m:
         # every subset of a forest's edges is a forest: l edges have rank l
         counts = {(l, l): binomial(g.m, l) for l in range(g.m + 1)}
+    elif rank == g.m - 1 and all(len(a) in (0, 2) for a in g.adjacency):
+        # one cycle and isolated vertices: every proper subset is a forest
+        counts = {(l, l): binomial(g.m, l) for l in range(g.m)}
+        counts[g.m, rank] = 1
     else:
         counts = _frontier_counts(g)
     table = RankTable(g.n, g.m, counts)
@@ -560,11 +565,10 @@ def direct_integrand(table: RankTable) -> IntPolynomial:
     n-1; degree is at most m.  Requires a table built from a connected graph.
     """
     _require_connected(table)
-    acc = [0] * (table.m + 1)
-    for l, s in enumerate(table.component_sums):
-        # acc (1-t) + S_l t^l; acc has degree below l here, so nothing is cut off
-        acc = [a - b for a, b in zip(acc, [0] + acc)]
-        acc[l] += s
+    acc: list[int] = []
+    for s in table.component_sums:
+        # acc (1-t) + S_l t^l: acc has degree below l, so l + 1 coefficients
+        acc = [a - b for a, b in zip(acc + [s], [0] + acc)]
     acc[0] -= 1
     return IntPolynomial(acc)
 

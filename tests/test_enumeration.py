@@ -706,6 +706,27 @@ def test_trees_take_no_sweep_step(monkeypatch, g):
     assert steps == []
 
 
+@pytest.mark.parametrize("k", range(3, 21))
+def test_cycles_take_the_closed_form(monkeypatch, k):
+    # every proper subset of a cycle is a forest; isolated vertices change nothing
+    closed = {**{(l, l): binomial(k, l) for l in range(k)}, (k, k - 1): 1}
+    assert _frontier_counts(cycle_graph(k)) == closed
+    monkeypatch.setattr(enumeration, "_frontier_counts", None)  # no sweep runs
+    assert build_rank_table(cycle_graph(k)).counts == closed
+    assert build_rank_table(Graph(k + 2, cycle_graph(k).edges)).counts == closed
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10, max_m=18))
+@example(Graph(6, cycle_graph(3).edges + ((3, 4), (4, 5), (3, 5))))  # two triangles
+@example(Graph(6, cycle_graph(5).edges + ((0, 5),)))  # a cycle with a pendant edge
+@example(Graph(7, cycle_graph(5).edges + ((5, 6),)))  # a cycle beside an edge
+@example(Graph(5, cycle_graph(4).edges + ((0, 4), (4, 2))))  # a theta
+def test_closed_forms_match_the_sweep(g):
+    # nullity 1 with every degree 0 or 2 is the one shape the cycle form takes
+    assert build_rank_table(g).counts == _frontier_counts(g)
+
+
 def test_key_words_hold_to_the_edge_limit():
     # A Graph's edges touch at most 2 * MAX_EDGES vertices: that bounds the
     # frontier width and every label (below the width).
