@@ -89,10 +89,14 @@ import numpy as np
 
 from .errors import CorruptRankTableError, DisconnectedGraphError, FrontierOverflowError
 from .exactpoly import IntPolynomial, balanced_digits, binomial, digit_bits
-from .graphs import MAX_EDGES, Graph, edge_rank
+from .graphs import MAX_EDGES, Graph, edge_rank, is_uniform
 
 # Byte budget of a sweep step, by the module docstring's estimate: the least
 # multiple of 32 MiB refusing no scripts/limits_table.py graph 2^21 states took.
+# It bounds the estimated bytes of one step's packed ints, not peak RSS: a step
+# also holds its parents' ints, the children, the int headers and the arrays'
+# slots, so with the bound at 2^30 `gnm 40 63 1` reached 768 MB of peak RSS
+# against a largest admitted estimate of 656 MB.
 MAX_FRONTIER_BYTES = 17 << 25
 
 
@@ -519,22 +523,17 @@ def _frontier_counts(g: Graph) -> dict[tuple[int, int], int]:
 def build_rank_table(g: Graph) -> RankTable:
     """Count spanning subgraphs of g by (edge count, rank) over all 2^m subsets.
 
-    A forest's table and a lone cycle's are closed-form; any other graph runs
-    the partition sweep, which is refused if a step outgrows
-    ``MAX_FRONTIER_BYTES``.  The
-    table is validated before it is returned, and its full edge set must have
-    the rank that union-find gives g's edges (n - 1 for a connected graph).  A
-    table that fails either check is a bug in the sweep, raised as
-    ``CorruptRankTableError``.
+    A forest's table and a lone cycle's are closed-form (``is_uniform``); any
+    other graph runs the partition sweep, which is refused if a step outgrows
+    ``MAX_FRONTIER_BYTES``.  The table is validated before it is returned, and
+    its full edge set must have the rank that union-find gives g's edges
+    (n - 1 for a connected graph).  A table that fails either check is a bug
+    in the sweep, raised as ``CorruptRankTableError``.
     """
     rank = edge_rank(g)
-    if rank == g.m:
-        # every subset of a forest's edges is a forest: l edges have rank l
-        counts = {(l, l): binomial(g.m, l) for l in range(g.m + 1)}
-    elif rank == g.m - 1 and all(len(a) in (0, 2) for a in g.adjacency):
-        # one cycle and isolated vertices: every proper subset is a forest
-        counts = {(l, l): binomial(g.m, l) for l in range(g.m)}
-        counts[g.m, rank] = 1
+    if is_uniform(g, rank):
+        # a forest, or one cycle and isolated vertices: l edges have rank min(l, rank)
+        counts = {(l, min(l, rank)): binomial(g.m, l) for l in range(g.m + 1)}
     else:
         counts = _frontier_counts(g)
     table = RankTable(g.n, g.m, counts)

@@ -102,6 +102,16 @@ def edge_rank(g: Graph) -> int:
     return rank
 
 
+def is_uniform(g: Graph, rank: int) -> bool:
+    """True when every ``rank`` edges of g are independent, ``rank`` being
+    ``edge_rank(g)``: g is a forest (rank == m), or one cycle and isolated
+    vertices (rank == m - 1, every degree 0 or 2), whose proper edge subsets
+    are all forests.  Then l edges have rank min(l, rank), and Kruskal keeps
+    each weighting's ``rank`` lightest edges.
+    """
+    return rank == g.m or (rank == g.m - 1 and all(len(a) in (0, 2) for a in g.adjacency))
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list document format.
 

@@ -13,12 +13,15 @@ bit-identical for any worker count.
 Every weight is an integer tick on the 2**-53 lattice, as numpy's
 ``Generator.random()`` makes it from the same 64-bit word, so one block is one
 tick matrix, a row per trial.  Kruskal runs across all of its rows at once
-(``_mst_lengths``): each tick is packed with its edge index into one integer
-sort key, one in-place row sort ranks every row's edges, then the rank columns
-are taken in turn, each one a handful of array operations over every row.
-Components are kept as a label matrix, one contiguous row of labels per edge
-endpoint and a column per trial: an accepted edge renames the larger of its two
-labels to the smaller in its trial's column.  Each row adds its accepted weights
+(``_mst_lengths``).  On a forest, or one cycle and isolated vertices, every
+trial keeps its edge-rank lightest edges, so one in-place row sort of the
+ticks and a sum over the lightest columns give every length.  On any other
+graph each tick is packed with its edge index into one integer sort key, one
+in-place row sort ranks every row's edges, then the rank columns are taken in
+turn, each one a handful of array operations over every row.  Components are
+kept as a label matrix, one contiguous row of labels per edge endpoint and a
+column per trial: an accepted edge renames the larger of its two labels to the
+smaller in its trial's column.  Either way each row adds its accepted weights
 in rank order, exactly as the scalar reference ``mst_length_for_weights`` does,
 so every per-trial length is the same float.  Every length is k * 2**-53 for
 an integer k, so each block sums k and k**2 exactly in integers, and
@@ -35,12 +38,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import DisconnectedGraphError
-from .graphs import Graph, find, is_connected
+from .graphs import Graph, edge_rank, find, is_connected, is_uniform
 
 BLOCK_TRIALS = 4096
 GENERATOR_ID = f"philox4x64-keyed-blocks-{BLOCK_TRIALS}"
@@ -108,15 +111,38 @@ def mst_length_for_weights(g: Graph, weights: list[float]) -> float:
     return total
 
 
+@lru_cache(maxsize=16)
+def _uniform_rank(n: int, edges: tuple[tuple[int, int], ...]) -> int | None:
+    """The edge rank of ``Graph(n, edges)`` when every set of that many of its
+    edges is independent (``graphs.is_uniform``), else None.  Cached: every
+    block of a run asks about the same graph."""
+    g = Graph(n, edges)
+    rank = edge_rank(g)
+    return rank if is_uniform(g, rank) else None
+
+
 def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], ticks: np.ndarray) -> np.ndarray:
     """MST length of every row of ``ticks`` (uint64, shape (rows, m)), by Kruskal.
 
     Row r's weights are ``ticks[r] * 2**-53``.  The kernel consumes its
-    argument: it builds the sort keys in place in ``ticks``, key = tick << 6 |
-    edge index.  A tick is below 2**53 and an edge index below 2**6, since a
-    Graph has m <= MAX_EDGES = 63 edges, so a key is below 2**59: it fits in
-    uint64 (and in int64, which the kernel views it as), and the tick and the
-    index never overlap.  The keys of a row are unique, so one in-place row
+    argument: it sorts it in place.
+
+    When every ``rank`` edges of the graph are independent
+    (``graphs.is_uniform``: a forest, or one cycle and isolated vertices),
+    Kruskal keeps each trial's ``rank`` lightest edges, a cycle dropping its
+    heaviest, whatever the weights.  Then one in-place row sort of the ticks
+    ranks every row, and columns 0 .. rank - 1 are added into the totals one
+    at a time, each tick times 2**-53 (exact, as the tick is below 2**53): the
+    reference's weights in the reference's order, so every total is
+    bit-identical to ``mst_length_for_weights``.  Tied edges have equal
+    weights, so which of them ranks first changes no sum, and no edge index
+    is packed.  No component is tracked.
+
+    Otherwise the kernel builds sort keys in place in ``ticks``:
+    key = tick << 6 | edge index.  A tick is below 2**53 and an edge index
+    below 2**6, since a Graph has m <= MAX_EDGES = 63 edges, so a key is below
+    2**59: it fits in uint64 (and in int64, which the kernel views it as), and
+    the tick and the index never overlap.  The keys of a row are unique, so one in-place row
     sort puts its edges in the reference's total order: by weight, ties going
     to the lower edge index.
 
@@ -146,6 +172,13 @@ def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], ticks: np.ndarray) 
     is at most m <= MAX_EDGES = 63 < 2**6.
     """
     rows, m = ticks.shape
+    rank = _uniform_rank(n, edges)
+    if rank is not None:
+        ticks.sort(axis=1)  # column k: each trial's k-th lightest weight
+        total = np.zeros(rows)
+        for k in range(rank):
+            total += ticks[:, k] * 2**-53
+        return total
     keys = ticks.view(np.int64)
     keys <<= 6
     keys |= np.arange(m)

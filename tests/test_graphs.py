@@ -1,8 +1,9 @@
 import hashlib
 import time
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from mstlength.errors import GraphConstructionError, GraphParseError
@@ -11,11 +12,13 @@ from mstlength.graphs import (
     bipartite_graph,
     complete_graph,
     cycle_graph,
+    edge_rank,
     format_graph,
     generate,
     gnm_graph,
     grid_graph,
     is_connected,
+    is_uniform,
     parse_graph,
     path_graph,
 )
@@ -178,3 +181,16 @@ def test_is_connected_refuses_more_vertices_than_edges_can_join():
 @given(graphs())
 def test_is_connected_matches_kirchhoff(g):
     assert is_connected(g) == (spanning_tree_count_kirchhoff(g) > 0)
+
+
+@given(graphs(max_n=7, max_m=9))
+@example(Graph(7, ((0, 1), (2, 3), (2, 4))))  # a forest
+@example(Graph(9, tuple((u + 3, v + 3) for u, v in cycle_graph(5).edges)))  # a cycle, isolated vertices
+@example(Graph(6, cycle_graph(5).edges + ((0, 5),)))  # a cycle with a pendant edge
+@example(Graph(6, cycle_graph(3).edges + ((3, 4), (4, 5), (3, 5))))  # two triangles
+@example(Graph(5, cycle_graph(4).edges + ((0, 4), (4, 2))))  # a theta
+def test_is_uniform_means_every_rank_set_is_independent(g):
+    # brute force: every subset of `rank` edges has rank `rank`
+    rank = edge_rank(g)
+    independent = all(edge_rank(Graph(g.n, s)) == rank for s in combinations(g.edges, rank))
+    assert is_uniform(g, rank) == independent

@@ -324,6 +324,13 @@ def _k4_and_path(n: int, path_start: int, path_edges: int) -> Graph:
     return Graph(n, k4 + path)
 
 
+def _triangle_and_matching(start: int) -> Graph:
+    """A triangle and a 60-edge matching, 63 edges and 123 endpoints from start."""
+    matching = tuple((start + 3 + 2 * i, start + 4 + 2 * i) for i in range(MAX_EDGES - 3))
+    triangle = ((start, start + 1), (start + 1, start + 2), (start, start + 2))
+    return Graph(start + 123, triangle + matching)
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -331,20 +338,95 @@ def _k4_and_path(n: int, path_start: int, path_edges: int) -> Graph:
         Graph(126, tuple((2 * i, 2 * i + 1) for i in range(MAX_EDGES))),
         _k4_and_path(300, 260, 39),
         _k4_and_path(600, 512, 10),
+        _triangle_and_matching(0),
+        _triangle_and_matching(256),
     ],
-    ids=["P64", "matching63", "K4+path-300", "K4+path-600"],
+    ids=[
+        "P64",
+        "matching63",
+        "K4+path-300",
+        "K4+path-600",
+        "triangle+matching60",
+        "triangle+matching60-above-255",
+    ],
 )
 def test_kernel_labels_fit_every_graph(g):
-    # Only edge endpoints are labelled: P_64's labels reach 63, and a 63-edge
-    # matching's reach 125, the most any graph has.  The other two are
-    # disconnected graphs with every endpoint above 255.  In the 600-vertex
-    # one the K_4 and the path start 256 apart, so int8 labels indexed by
-    # vertex number would give vertices 256 and 512 the same label and see
-    # the path's first edges as loops.
+    # Only edge endpoints are labelled: P_64's labels would reach 63, and a
+    # 63-edge matching's 125, the most any graph has, but both are forests and
+    # take the sorted form, which labels nothing.  On the union-find path a
+    # graph has a cycle, so at most 123 endpoints: a triangle and a 60-edge
+    # matching.  The others are disconnected graphs with every endpoint above
+    # 255.  In the 600-vertex one the K_4 and the path start 256 apart, so
+    # int8 labels indexed by vertex number would give vertices 256 and 512 the
+    # same label and see the path's first edges as loops.
     ticks = np.random.default_rng(5).integers(0, 8, size=(1000, g.m), dtype=np.uint64) << 50
     lengths = _mst_lengths(g.n, g.edges, ticks.copy())
     expected = [mst_length_for_weights(g, (row * 2**-53).tolist()) for row in ticks]
     assert lengths.tolist() == expected
+
+
+class _UnionFindRan(Exception):
+    pass
+
+
+def _stub_union_find(monkeypatch):
+    """Stub the kernel's union-find loop to fail: its label matrix is built
+    with ``np.repeat``, which the sorted form never calls."""
+
+    class NumpyWithoutRepeat:
+        def __getattr__(self, name):
+            if name == "repeat":
+                raise _UnionFindRan
+            return getattr(np, name)
+
+    monkeypatch.setattr(mc, "np", NumpyWithoutRepeat())
+
+
+def _matches_reference_under_ties(g: Graph, rows: int) -> bool:
+    # weights on multiples of 1/8 tie often
+    ticks = np.random.default_rng(3).integers(0, 8, size=(rows, g.m), dtype=np.uint64) << 50
+    lengths = _mst_lengths(g.n, g.edges, ticks.copy())
+    return lengths.tolist() == [mst_length_for_weights(g, row.tolist()) for row in ticks * 2**-53]
+
+
+def _with_isolated_vertices(g: Graph) -> Graph:
+    """g moved up by two vertices, with two isolated vertices on each side."""
+    return Graph(g.n + 4, tuple((u + 2, v + 2) for u, v in g.edges))
+
+
+SORTED_FORM = {
+    **{f"C{k}": cycle_graph(k) for k in range(3, 31)},
+    **{f"C{k}+isolated": _with_isolated_vertices(cycle_graph(k)) for k in range(3, 31)},
+    "P2": path_graph(2),
+    "P30": path_graph(30),
+    "P64": path_graph(64),
+    "star10": Graph(11, tuple((0, v) for v in range(1, 11))),
+    "forest": Graph(10, ((0, 1), (1, 2), (4, 5), (5, 6), (5, 7), (8, 9))),
+}
+
+KRUSKAL_FORM = {
+    "C5+pendant": Graph(6, cycle_graph(5).edges + ((0, 5),)),
+    "theta": Graph(5, cycle_graph(4).edges + ((0, 4), (4, 2))),
+    "K4": complete_graph(4),
+    "K32": bipartite_graph(3, 2),
+}
+
+
+@pytest.mark.parametrize("g", SORTED_FORM.values(), ids=SORTED_FORM.keys())
+def test_forests_and_cycles_take_the_sorted_form(monkeypatch, g):
+    # Every trial keeps its edge-rank lightest edges: with the union-find
+    # loop stubbed out, each length is still the reference's, bit for bit.
+    _stub_union_find(monkeypatch)
+    assert _matches_reference_under_ties(g, 400)
+
+
+@pytest.mark.parametrize("g", KRUSKAL_FORM.values(), ids=KRUSKAL_FORM.keys())
+def test_other_graphs_take_the_union_find_loop(monkeypatch, g):
+    # Some edge-rank set of these is dependent, so Kruskal must track components.
+    assert _matches_reference_under_ties(g, 2000)
+    _stub_union_find(monkeypatch)
+    with pytest.raises(_UnionFindRan):
+        _mst_lengths(g.n, g.edges, np.zeros((4, g.m), dtype=np.uint64))
 
 
 def test_disconnected_rejected():

@@ -64,6 +64,28 @@ def test_limits_table_reports_the_refusing_edge(monkeypatch):
     assert (row["m"], row["result"], row["peak"]) == (12, "refused at edge 1", 0)
 
 
+def test_mc_throughput_prints_each_graph_and_its_form(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "mc_throughput.py"), "--trials", "5", "--repeats", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["graph", "m", "form", "trials/s"]
+    # graph, m and form; the rate varies
+    assert [row.split()[:-1] for row in rows] == [
+        ["K_4", "6", "union-find"],
+        ["K_8", "28", "union-find"],
+        ["K_11", "55", "union-find"],
+        ["C_30", "30", "sorted"],
+        ["P_30", "29", "sorted"],
+        ["C_29+pendant", "30", "union-find"],
+    ]
+    assert all(float(row.split()[-1]) > 0 for row in rows)
+
+
 def test_readme_library_example_runs():
     section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
