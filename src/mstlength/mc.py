@@ -21,8 +21,13 @@ in-place row sort ranks every row's edges, then the rank columns are taken in
 turn, each one a handful of array operations over every row.  Components are
 kept as a label matrix, one contiguous row of labels per edge endpoint and a
 column per trial: an accepted edge renames the larger of its two labels to the
-smaller in its trial's column.  Either way each row adds its accepted weights
-in rank order, exactly as the scalar reference ``mst_length_for_weights`` does,
+smaller in its trial's column.  A trial is one component exactly when its
+column is all 0, so the columns stop when the matrix is; once at most an
+eighth of the rows are unfinished, they are copied out once and run on alone.
+Either way each row adds its accepted ticks in rank order, as a float counted
+in ticks and scaled by 2**-53 once at the end.  That rounds exactly as the
+scalar reference ``mst_length_for_weights`` adds the weights, since scaling by
+a power of two commutes with rounding where nothing underflows or overflows,
 so every per-trial length is the same float.  Every length is k * 2**-53 for
 an integer k, so each block sums k and k**2 exactly in integers, and
 ``simulate`` adds the blocks' sums and rounds the total and the sample
@@ -35,7 +40,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -112,13 +116,30 @@ def mst_length_for_weights(g: Graph, weights: list[float]) -> float:
 
 
 @lru_cache(maxsize=16)
-def _uniform_rank(n: int, edges: tuple[tuple[int, int], ...]) -> int | None:
-    """The edge rank of ``Graph(n, edges)`` when every set of that many of its
-    edges is independent (``graphs.is_uniform``), else None.  Cached: every
-    block of a run asks about the same graph."""
+def _kruskal_plan(
+    n: int, edges: tuple[tuple[int, int], ...]
+) -> int | tuple[int, np.ndarray, np.ndarray]:
+    """How ``_mst_lengths`` runs Kruskal on ``Graph(n, edges)``.  Cached: every
+    block of a run asks about the same graph.
+
+    When every set of edge-rank many edges is independent
+    (``graphs.is_uniform``), the plan is that rank, and the kernel takes the
+    sorted form.  Otherwise it is the endpoint slot table of the union-find
+    loop: the slot count, ``iu`` and ``dv``.  Only edge endpoints get a slot,
+    numbered in order of first appearance; edge e's first end has slot
+    ``iu[e]`` and its second end slot ``iu[e] + dv[e]``.  Every call shares
+    the two arrays, so they are read-only.
+    """
     g = Graph(n, edges)
     rank = edge_rank(g)
-    return rank if is_uniform(g, rank) else None
+    if is_uniform(g, rank):
+        return rank
+    label: dict[int, int] = {}
+    ends = np.array([label.setdefault(w, len(label)) for edge in edges for w in edge], dtype=np.intp)
+    iu = ends[0::2].copy()
+    dv = ends[1::2] - iu
+    iu.flags.writeable = dv.flags.writeable = False
+    return len(label), iu, dv
 
 
 def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], ticks: np.ndarray) -> np.ndarray:
@@ -127,42 +148,60 @@ def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], ticks: np.ndarray) 
     Row r's weights are ``ticks[r] * 2**-53``.  The kernel consumes its
     argument: it sorts it in place.
 
+    Each row's total is kept in ticks, a float that adds the row's accepted
+    ticks in rank order, and is scaled by 2**-53 once, at the end.  That is
+    the reference's float bit for bit: a tick is below 2**53, so it is an
+    exact float; a total stays below 2**59 ticks, and its least nonzero value,
+    1 tick, is a normal float after the scale, so nothing underflows or
+    overflows; and round-to-nearest commutes with a power-of-two scale
+    wherever nothing does.  So every addition rounds in ticks exactly as the
+    reference's addition of the scaled weights rounds, and the scale is exact.
+
     When every ``rank`` edges of the graph are independent
     (``graphs.is_uniform``: a forest, or one cycle and isolated vertices),
     Kruskal keeps each trial's ``rank`` lightest edges, a cycle dropping its
     heaviest, whatever the weights.  Then one in-place row sort of the ticks
     ranks every row, and columns 0 .. rank - 1 are added into the totals one
-    at a time, each tick times 2**-53 (exact, as the tick is below 2**53): the
-    reference's weights in the reference's order, so every total is
-    bit-identical to ``mst_length_for_weights``.  Tied edges have equal
-    weights, so which of them ranks first changes no sum, and no edge index
-    is packed.  No component is tracked.
+    at a time: the reference's weights in the reference's order, so every
+    length is bit-identical to ``mst_length_for_weights``.  Tied edges have
+    equal weights, so which of them ranks first changes no sum, and no edge
+    index is packed.  No component is tracked.
 
     Otherwise the kernel builds sort keys in place in ``ticks``:
     key = tick << 6 | edge index.  A tick is below 2**53 and an edge index
     below 2**6, since a Graph has m <= MAX_EDGES = 63 edges, so a key is below
     2**59: it fits in uint64 (and in int64, which the kernel views it as), and
-    the tick and the index never overlap.  The keys of a row are unique, so one in-place row
-    sort puts its edges in the reference's total order: by weight, ties going
-    to the lower edge index.
+    the tick and the index never overlap.  The keys of a row are unique, so
+    one in-place row sort puts its edges in the reference's total order: by
+    weight, ties going to the lower edge index.
 
     Trial r's components are column r of a label matrix ``comp`` that has
-    one contiguous row per edge endpoint, so every operation runs along the
-    trial axis.  Only endpoints are labelled: a Graph has at most
-    2 * MAX_EDGES = 126 of them, so every label (0..125) and every difference
-    of two labels fits in int8, whatever n is.  Column k of the sorted keys is
-    each trial's k-th lightest edge: one gather gives the edge (key & 63) and
-    its weight ((key >> 6) * 2**-53, exact, as the tick is below 2**53), two
-    more give its endpoints' labels cu and cv.  Where they differ the edge
-    joins two components: its weight is added to the trial's total, and
+    one contiguous row per edge endpoint (``_kruskal_plan``'s slots), so every
+    operation runs along the trial axis.  Only endpoints are labelled: a
+    Graph has at most 2 * MAX_EDGES = 126 of them, so every label (0..125)
+    and every difference of two labels fits in int8, whatever n is.  Column k
+    of the sorted keys is each trial's k-th lightest edge.  It is copied out
+    once, contiguous: ``key & 63`` is the edge, and ``key >>= 6`` leaves its
+    tick.  One flat index finds both endpoints' labels cu and cv: the edge's
+    first end's cell, then that plus ``dv[e] * rows``.  Where cu and cv differ
+    the edge joins two components: the tick, times that test, is added to
+    the total (a loop adds 0, which changes no float), and
     ``comp -= (comp == hi) * (hi - lo)``, hi and lo the larger and smaller of
     cu and cv, renames hi to lo in that trial's column (a no-op where they
     are equal).  So every total sums the same weights in the same order as
-    ``mst_length_for_weights`` and is bit-identical to it.  The columns stop
-    once every trial has n - 1 tree edges; every later edge of a finished
-    trial is a loop, so it stays in the matrix and adds nothing.  A trial
-    that never gets n - 1 tree edges (a disconnected graph) ends with its
-    spanning forest's length, as the reference does.
+    ``mst_length_for_weights``.
+
+    A label only ever falls to the least label of its component, so slot 0's
+    label stays 0 and a trial is one component exactly when its column is
+    all 0; then every later edge is a loop that adds nothing.  That takes
+    slots - 1 joins, so no trial is one component before column slots - 2;
+    from there on each column counts the trials still unfinished.  The first time they are at most an
+    eighth of the rows, their keys, label columns and totals are copied out,
+    once, and the remaining columns run on them alone; their totals are
+    scattered back at the end.  The loop stops when the label matrix is all
+    0.  A trial that is never one component (a disconnected graph) runs
+    every column and ends with its spanning forest's length, as the
+    reference does.
 
     Every length is k * 2**-53 for an integer k <= m * 2**53 < 2**59.  A
     float sum of multiples of 2**-53 rounds to one: below 1 it is j * 2**-53
@@ -172,40 +211,53 @@ def _mst_lengths(n: int, edges: tuple[tuple[int, int], ...], ticks: np.ndarray) 
     is at most m <= MAX_EDGES = 63 < 2**6.
     """
     rows, m = ticks.shape
-    rank = _uniform_rank(n, edges)
-    if rank is not None:
+    plan = _kruskal_plan(n, edges)
+    lengths = total = np.zeros(rows)  # in ticks until the final scale
+    if isinstance(plan, int):
         ticks.sort(axis=1)  # column k: each trial's k-th lightest weight
-        total = np.zeros(rows)
-        for k in range(rank):
-            total += ticks[:, k] * 2**-53
+        for k in range(plan):
+            total += ticks[:, k]
+        total *= 2**-53
         return total
+    slots, iu, dv = plan
     keys = ticks.view(np.int64)
     keys <<= 6
     keys |= np.arange(m)
     keys.sort(axis=1)
-    label: dict[int, int] = {}  # endpoints numbered in order of first appearance
-    ends = [label.setdefault(w, len(label)) for edge in edges for w in edge]
-    comp = np.repeat(np.arange(len(label), dtype=np.int8)[:, None], rows, axis=1)
-    flat = comp.ravel()
-    first = np.array(ends, dtype=np.intp).reshape(m, 2) * rows  # each end's first cell in flat
-    fu, fv = first[:, 0], first[:, 1]
-    row = np.arange(rows)
-    total = np.zeros(rows)
-    picked = np.zeros(rows, dtype=np.intp)
+    comp = np.repeat(np.arange(slots, dtype=np.int8)[:, None], rows, axis=1)
+    first, step, row, flat = iu * rows, dv * rows, np.arange(rows), comp.ravel()
+    left = None  # the unfinished rows, once compacted
     for k in range(m):
-        key = keys[:, k]
+        key = keys[:, k].copy()
         e = key & 63
-        cu = flat[fu[e] + row]
-        cv = flat[fv[e] + row]
+        key >>= 6
+        at = first[e]
+        at += row
+        cu = flat[at]
+        at += step[e]
+        cv = flat[at]
         join = cu != cv
-        np.add(total, (key >> 6) * 2**-53, out=total, where=join)
+        key *= join
+        total += key
         hi = np.maximum(cu, cv)
         lo = np.minimum(cu, cv)
         comp -= (comp == hi) * (hi - lo)
-        picked += join
-        if k >= n - 2 and (picked == n - 1).all():
+        if k < slots - 2:
+            continue
+        unfinished = comp.any(axis=0)
+        count = np.count_nonzero(unfinished)
+        if not count:
             break
-    return total
+        if left is None and count * 8 <= rows:
+            left = np.flatnonzero(unfinished)
+            keys, total = keys[left], total[left]
+            comp = np.ascontiguousarray(comp[:, left])
+            width = len(left)
+            first, step, row, flat = iu * width, dv * width, np.arange(width), comp.ravel()
+    if left is not None:
+        lengths[left] = total
+    lengths *= 2**-53
+    return lengths
 
 
 def _lattice_sums(lengths: np.ndarray) -> tuple[int, int]:
@@ -266,6 +318,9 @@ def simulate(g: Graph, trials: int, seed: int, *, threads: int = 1) -> McEstimat
     if workers <= 1:
         sums = list(map(per_block, range(blocks)))
     else:
+        # imported here: only a pool needs multiprocessing, slow to import
+        from concurrent.futures import ProcessPoolExecutor
+
         # each worker takes one contiguous run of blocks
         with ProcessPoolExecutor(max_workers=workers) as pool:
             sums = list(pool.map(per_block, range(blocks), chunksize=-(-blocks // workers)))

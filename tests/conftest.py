@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import pathlib
 import sys
@@ -10,15 +11,15 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Swap a module's ProcessPoolExecutor for an inline fake.
+    """Swap ``concurrent.futures.ProcessPoolExecutor`` for an inline fake.
 
-    ``install(module, cpus)`` also fixes ``os.cpu_count()`` to ``cpus`` and
+    ``install(cpus)`` also fixes ``os.cpu_count()`` to ``cpus`` and
     returns a record of the fake's use: ``workers``, the ``max_workers`` of
     each pool built, and ``chunksizes``, the ``chunksize`` of each ``map``.
     No process is ever started.
     """
 
-    def install(module, cpus):
+    def install(cpus):
         record = SimpleNamespace(workers=[], chunksizes=[])
 
         class InlinePool:
@@ -35,7 +36,7 @@ def recording_pool(monkeypatch):
                 record.chunksizes.append(chunksize)
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         return record
 

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +52,7 @@ def test_determinism_across_worker_counts():
     [(4, 3, [3]), (4, 8, [4]), (2, 8, [2]), (1, 8, []), (None, 8, []), (3, 8, [3])],
 )
 def test_worker_count_clamped_to_blocks_and_cpus(recording_pool, cpus, blocks, expected):
-    pool = recording_pool(mc, cpus)
+    pool = recording_pool(cpus)
     g = bipartite_graph(3, 2)
     trials = blocks * BLOCK_TRIALS
     clamped = simulate(g, trials, seed=5, threads=10**6)
@@ -62,10 +65,24 @@ def test_worker_count_clamped_to_blocks_and_cpus(recording_pool, cpus, blocks, e
 
 @pytest.mark.parametrize("threads", [0, -5])
 def test_worker_count_below_one_rejected(recording_pool, threads):
-    pool = recording_pool(mc, 4)
+    pool = recording_pool(4)
     with pytest.raises(ValueError, match="threads"):
         simulate(bipartite_graph(3, 2), 3 * BLOCK_TRIALS, seed=5, threads=threads)
     assert pool.workers == pool.chunksizes == []
+
+
+def test_importing_the_package_leaves_multiprocessing_unloaded():
+    # Only a pool of more than one worker needs it, and it is slow to import.
+    src = pathlib.Path(mc.__file__).resolve().parent.parent
+    code = "import sys, mstlength; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_different_seeds_differ():
@@ -369,17 +386,39 @@ class _UnionFindRan(Exception):
     pass
 
 
+def _patch_numpy(monkeypatch, **replaced):
+    """Give ``mc`` a numpy whose named functions are ``replaced``."""
+
+    class PatchedNumpy:
+        def __getattr__(self, name):
+            return replaced[name] if name in replaced else getattr(np, name)
+
+    monkeypatch.setattr(mc, "np", PatchedNumpy())
+
+
 def _stub_union_find(monkeypatch):
     """Stub the kernel's union-find loop to fail: its label matrix is built
     with ``np.repeat``, which the sorted form never calls."""
 
-    class NumpyWithoutRepeat:
-        def __getattr__(self, name):
-            if name == "repeat":
-                raise _UnionFindRan
-            return getattr(np, name)
+    def repeat(*args, **kwargs):
+        raise _UnionFindRan
 
-    monkeypatch.setattr(mc, "np", NumpyWithoutRepeat())
+    _patch_numpy(monkeypatch, repeat=repeat)
+
+
+def _record_compactions(monkeypatch) -> list[int]:
+    """The row count of each compaction of the union-find loop, as it runs:
+    the loop finds the unfinished rows it keeps with ``np.flatnonzero``, which
+    the kernel calls nowhere else."""
+    kept = []
+
+    def flatnonzero(a):
+        rows = np.flatnonzero(a)
+        kept.append(len(rows))
+        return rows
+
+    _patch_numpy(monkeypatch, flatnonzero=flatnonzero)
+    return kept
 
 
 def _matches_reference_under_ties(g: Graph, rows: int) -> bool:
@@ -427,6 +466,87 @@ def test_other_graphs_take_the_union_find_loop(monkeypatch, g):
     _stub_union_find(monkeypatch)
     with pytest.raises(_UnionFindRan):
         _mst_lengths(g.n, g.edges, np.zeros((4, g.m), dtype=np.uint64))
+
+
+def _k8_block_unfinished_at_the_check(rows: int, unfinished: int) -> np.ndarray:
+    """K_8 ticks, on multiples of 2**50 so that they tie, where the first
+    ``unfinished`` rows are not yet one component after the sorted column 6,
+    the first the stop test reads: their 7 lightest edges hold a triangle and
+    miss vertex 7.  Every other row's 7 lightest edges are the star at 0."""
+    g = complete_graph(8)
+    rng = np.random.default_rng(13)
+    ticks = rng.integers(4, 8, size=(rows, g.m), dtype=np.uint64) << 50
+    star = [g.edges.index((0, v)) for v in range(1, 8)]
+    cyclic = [g.edges.index(e) for e in ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (0, 5), (0, 6))]
+    light = rng.integers(0, 4, size=(rows, 7), dtype=np.uint64) << 50
+    ticks[unfinished:, star] = light[unfinished:]
+    ticks[:unfinished, cyclic] = light[:unfinished]
+    return ticks
+
+
+def test_the_union_find_loop_compacts_its_unfinished_rows(monkeypatch):
+    # A whole K_8 block of tied weights compacts once, when at most an eighth
+    # of its rows are unfinished; and a block with exactly an eighth of its
+    # rows unfinished at the first check compacts there.  Either way every
+    # length is the reference's, bit for bit.
+    g = complete_graph(8)
+    kept = _record_compactions(monkeypatch)
+    assert _matches_reference_under_ties(g, BLOCK_TRIALS)
+    assert len(kept) == 1 and 0 < kept[0] <= BLOCK_TRIALS // 8
+
+    kept.clear()
+    ticks = _k8_block_unfinished_at_the_check(BLOCK_TRIALS, BLOCK_TRIALS // 8)
+    lengths = _mst_lengths(g.n, g.edges, ticks.copy())
+    assert lengths.tolist() == [mst_length_for_weights(g, row.tolist()) for row in ticks * 2**-53]
+    assert kept == [BLOCK_TRIALS // 8]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 513])
+@pytest.mark.parametrize("g", [complete_graph(8), KRUSKAL_FORM["theta"]], ids=["K8", "theta"])
+def test_small_blocks_compact_only_an_eighth_of_their_rows(monkeypatch, g, rows):
+    # A block of fewer than 8 rows stops before it would keep no row at all.
+    kept = _record_compactions(monkeypatch)
+    assert _matches_reference_under_ties(g, rows)
+    assert all(0 < count and count * 8 <= rows for count in kept)
+    assert len(kept) <= 1 and (rows >= 8 or not kept)
+
+
+def _odd_ticks_near_one(rows: int, m: int) -> np.ndarray:
+    """Odd ticks within 2**21 of 2**53 - 1: weights just below 1.  Running
+    sums of them cross 1, 2, 4, ..., and from the third on each addition
+    rounds: an odd sum above 2**54 ticks is no float."""
+    rng = np.random.default_rng(29)
+    return (2**53 - 1) - 2 * rng.integers(0, 2**20, size=(rows, m), dtype=np.uint64)
+
+
+def _matches_reference_near_one(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Run the kernel on rows of weights just below 1, compare every length
+    with the reference, and return the ticks and the lengths."""
+    ticks = _odd_ticks_near_one(400, g.m)
+    lengths = _mst_lengths(g.n, g.edges, ticks.copy())
+    assert lengths.tolist() == [mst_length_for_weights(g, row.tolist()) for row in ticks * 2**-53]
+    return ticks, lengths
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(19, complete_graph(11).edges + tuple((v, v + 1) for v in range(10, 18))), complete_graph(8)],
+    ids=["K11+path8", "K8"],
+)
+def test_tick_unit_sums_round_as_the_reference_on_the_union_find_loop(g):
+    # Each total is summed in ticks and scaled by 2**-53 once; wherever an
+    # addition rounds it must round as the reference's sum of weights does.
+    _matches_reference_near_one(g)
+
+
+@pytest.mark.parametrize("g", [path_graph(64), cycle_graph(30)], ids=["P64", "C30"])
+def test_tick_unit_sums_round_as_the_reference_on_the_sorted_form(g):
+    # Every row keeps its n - 1 lightest edges, an odd count of odd ticks:
+    # their exact sum is odd and above 2**54 ticks, where every float is a
+    # multiple of 4 ticks, so the sums did round.
+    ticks, lengths = _matches_reference_near_one(g)
+    exact = np.sort(ticks, axis=1)[:, : g.n - 1].astype(object).sum(axis=1)
+    assert all(x * 2**53 != k for x, k in zip(lengths.tolist(), exact))
 
 
 def test_disconnected_rejected():

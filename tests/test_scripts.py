@@ -73,17 +73,19 @@ def test_mc_throughput_prints_each_graph_and_its_form(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["graph", "m", "form", "trials/s"]
-    # graph, m and form; the rate varies
-    assert [row.split()[:-1] for row in rows] == [
+    assert header.split() == ["graph", "m", "form", "best/s", "median/s"]
+    # graph, m and form; the rates vary, and the best is never below the median
+    assert [row.split()[:-2] for row in rows] == [
         ["K_4", "6", "union-find"],
         ["K_8", "28", "union-find"],
         ["K_11", "55", "union-find"],
+        ["gnm_12_30_2", "30", "union-find"],
         ["C_30", "30", "sorted"],
         ["P_30", "29", "sorted"],
         ["C_29+pendant", "30", "union-find"],
     ]
-    assert all(float(row.split()[-1]) > 0 for row in rows)
+    rates = [[float(rate) for rate in row.split()[-2:]] for row in rows]
+    assert all(best >= median > 0 for best, median in rates)
 
 
 def test_readme_library_example_runs():
